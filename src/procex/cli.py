@@ -38,14 +38,12 @@ from .corpus import (
     load_pet,
     load_schema,
 )
-from .eval import MatchPolicy, aggregate
 from .llm import CachingClient, HttpProvider, ProviderError, ReplayMissError
 from .parser import (
-    ParsedMention,
     ParseReport,
-    ground,
     ground_clusters,
     ground_relations,
+    ground_report,
     item_from_record,
     item_to_record,
 )
@@ -58,7 +56,7 @@ from .pipeline import (
     run_ablation,
     run_cell,
     run_grid,
-    score_predictions,
+    score_dataset,
 )
 from .prompt import PromptConfig, PromptError
 
@@ -286,9 +284,7 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = _load_dataset(args)
     task = _check_task(dataset, args.task)
-    policy = MatchPolicy.from_schema(dataset.schema)
-    counts = []
-    seen = 0
+    predictions: dict = {}
     with open(args.predictions, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -305,18 +301,21 @@ def cmd_evaluate(args) -> int:
                     f"{record.get('task')!r}, expected {task!r}"
                 )
             doc = dataset.document(record["document_id"])
+            if doc.id in predictions:
+                raise ValidationError(
+                    f"{args.predictions}:{line_no}: second record for "
+                    f"document {doc.id!r}"
+                )
             items = tuple(item_from_record(r) for r in record["items"])
-            report = ParseReport(items=items, error_lines=(),
-                                 ignored_line_count=0)
-            predictions = _predictions_for(task, report, doc)
-            counts.append(
-                score_predictions(task, predictions, doc, policy).counts
+            predictions[doc.id] = _predictions_for(
+                task, ParseReport(items, error_lines=(), ignored_line_count=0),
+                doc,
             )
-            seen += 1
-    total = aggregate(counts)
+    # documents missing from the file count as predicting nothing
+    total, per_doc = score_dataset(dataset, task, predictions)
     print(
         f"{task}: P={total.precision:.2f} R={total.recall:.2f} "
-        f"F1={total.f1:.2f} (documents: {seen})"
+        f"F1={total.f1:.2f} (documents: {len(per_doc)})"
     )
     return EXIT_OK
 
@@ -382,30 +381,25 @@ def _doc_from_predictions(doc, schema, paths):
                 record = json.loads(line)
                 if record.get("document_id") == doc.id:
                     records.extend(record.get("items", []))
-    items = [item_from_record(r) for r in records]
+    report = ParseReport(items=tuple(item_from_record(r) for r in records),
+                         error_lines=(), ignored_line_count=0)
 
-    used: set = set()
+    grounded, ungrounded = ground_report(report, doc)
+    for item in ungrounded:
+        sys.stderr.write(
+            f"warning: mention {item.surface!r} not groundable, dropped\n"
+        )
     mentions: list = []
-    for item in items:
-        if not isinstance(item, ParsedMention):
-            continue
-        hit = ground(item, doc, used)
-        if hit is None:
-            sys.stderr.write(
-                f"warning: mention {item.surface!r} not groundable, dropped\n"
-            )
-            continue
-        canonical = schema.canonical_mention_type(item.mention_type)
+    for hit in grounded:
+        canonical = schema.canonical_mention_type(hit.mention_type)
         mentions.append(Mention(
             f"p{len(mentions)}",
-            canonical if canonical else item.mention_type,
+            canonical if canonical else hit.mention_type,
             hit.token_indices,
         ))
     span_to_id = {m.token_indices: m.id for m in mentions}
 
     entities: list = []
-    report = ParseReport(items=tuple(items), error_lines=(),
-                         ignored_line_count=0)
     clusters, _ = ground_clusters(report, doc)
     for members in clusters:
         ids = [span_to_id.get(m.token_indices) for m in members]

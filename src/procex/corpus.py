@@ -98,12 +98,6 @@ class Document:
     def surface(self, mention: Mention) -> str:
         return " ".join(self.tokens[i].text for i in mention.token_indices)
 
-    def mention_span(self, mention: Mention) -> tuple[int, ...]:
-        return mention.token_indices
-
-    def sentence_of(self, mention: Mention) -> int:
-        return self.tokens[mention.token_indices[0]].sentence_index
-
 
 @dataclass(frozen=True)
 class SchemaDescriptor:
@@ -622,15 +616,6 @@ def load_canonical(path: str | Path, schema: SchemaDescriptor | None = None) -> 
     dataset = Dataset(schema=schema, documents=tuple(docs))
     _raise_on_validation(dataset)
     return dataset
-
-
-def load_constraint_dataset(path: str | Path, schema: SchemaDescriptor) -> Dataset:
-    """Load a constraint-annotated dataset stored in the canonical format.
-
-    The given schema supplies the constraint-type inventory; gold action
-    phrases are kept verbatim (they arrive pre-normalized).
-    """
-    return load_canonical(path, schema=schema)
 
 
 def _raise_on_validation(dataset: Dataset) -> None:

@@ -1,26 +1,29 @@
 """Precision/recall/F1 scoring for the four extraction tasks.
 
-Correct counts come from a maximum one-to-one matching between
-predictions and gold items (greedy matching is order-dependent and can
-undercount). Aggregation across documents is micro: counts are summed
-first, then the formulas applied once.
+Each scorer maps every prediction and gold item to a match key, and
+the correct count is the sum over keys of min(predicted, gold). Every
+task's match predicate is equality on its key, so this equals the size
+of a maximum one-to-one matching between predictions and gold items:
+within one key any pairing is admissible, and across keys none is.
+Under exact_span an ungrounded prediction keys its span as None, which
+equals no gold span, so it counts as predicted but never matches.
+Aggregation across documents is micro: counts are summed first, then
+the formulas applied once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import (
-    Constraint,
     Document,
-    Entity,
     Mention,
-    Relation,
     SchemaDescriptor,
     normalize_phrase,
     normalize_type_name,
 )
-from .parser import GroundedMention, GroundedRelation, ParsedConstraint, ParsedMention
+from .parser import GroundedMention
 
 
 @dataclass(frozen=True)
@@ -128,15 +131,28 @@ def max_matching(pairs: list, n_pred: int, n_gold: int) -> int:
     return size
 
 
-def _score_by_predicate(pred: list, gold: list, matches) -> TaskScores:
-    pairs = [
-        (i, j)
-        for i, p in enumerate(pred)
-        for j, g in enumerate(gold)
-        if matches(p, g)
-    ]
-    correct = max_matching(pairs, len(pred), len(gold))
-    return scores_from_counts(ConfusionCounts(correct, len(pred), len(gold)))
+def _score_by_key(pred_keys: list, gold_keys: list) -> TaskScores:
+    matched = Counter(pred_keys) & Counter(gold_keys)
+    return scores_from_counts(
+        ConfusionCounts(sum(matched.values()), len(pred_keys), len(gold_keys))
+    )
+
+
+def _type_key(name: str, policy: MatchPolicy):
+    return normalize_type_name(name) if policy.type_sensitive else None
+
+
+def _pred_span_key(indices, surface: str, policy: MatchPolicy):
+    """Token indices under exact_span (None when ungrounded), else text."""
+    if policy.span_mode == "exact_span":
+        return indices
+    return normalize_phrase(surface)
+
+
+def _gold_span_key(mention: Mention, doc: Document, policy: MatchPolicy):
+    if policy.span_mode == "exact_span":
+        return tuple(mention.token_indices)
+    return normalize_phrase(doc.surface(mention))
 
 
 # ---------------------------------------------------------------------------
@@ -149,41 +165,24 @@ def score_md(pred: list, gold: list, policy: MatchPolicy | None = None,
     if policy.span_mode == "text_match" and doc is None:
         raise ValueError("text_match scoring needs the source document")
 
-    def matches(p, g: Mention) -> bool:
-        if policy.type_sensitive:
-            p_type = getattr(p, "mention_type", "")
-            if normalize_type_name(p_type) != normalize_type_name(g.mention_type):
-                return False
-        if policy.span_mode == "exact_span":
-            return (
-                isinstance(p, GroundedMention)
-                and p.token_indices == tuple(g.token_indices)
-            )
-        p_surface = p.matched_surface if isinstance(p, GroundedMention) else p.surface
-        return normalize_phrase(p_surface) == normalize_phrase(doc.surface(g))
+    def pred_key(p):
+        grounded = isinstance(p, GroundedMention)
+        return (_type_key(getattr(p, "mention_type", ""), policy),
+                _pred_span_key(p.token_indices if grounded else None,
+                               p.matched_surface if grounded else p.surface,
+                               policy))
 
-    return _score_by_predicate(list(pred), list(gold), matches)
+    gold_keys = [
+        (_type_key(g.mention_type, policy), _gold_span_key(g, doc, policy))
+        for g in gold
+    ]
+    return _score_by_key([pred_key(p) for p in pred], gold_keys)
 
 
 # ---------------------------------------------------------------------------
 # ER
 
-def gold_entity_span_sets(doc: Document) -> list:
-    """Entity universe as span sets: declared clusters plus singletons."""
-    mmap = doc.mention_map()
-    clustered = {mid for e in doc.entities for mid in e.mention_ids}
-    sets = [
-        frozenset(mmap[mid].token_indices for mid in e.mention_ids)
-        for e in doc.entities
-    ]
-    sets.extend(
-        frozenset([m.token_indices]) for m in doc.mentions if m.id not in clustered
-    )
-    return sets
-
-
-def score_er(pred_clusters: list, gold: list, doc: Document,
-             policy: MatchPolicy | None = None) -> TaskScores:
+def score_er(pred_clusters: list, gold: list, doc: Document) -> TaskScores:
     """Score entity clusters by exact span-set equality.
 
     gold is the document's declared entity list; mentions outside any
@@ -197,20 +196,11 @@ def score_er(pred_clusters: list, gold: list, doc: Document,
     declared.extend(
         frozenset([m.token_indices]) for m in doc.mentions if m.id not in clustered
     )
-
-    pred_sets = []
-    for cluster in pred_clusters:
-        if isinstance(cluster, frozenset):
-            pred_sets.append(cluster)
-        else:
-            pred_sets.append(
-                frozenset(m.token_indices for m in cluster)
-            )
-
-    def matches(p: frozenset, g: frozenset) -> bool:
-        return p == g
-
-    return _score_by_predicate(pred_sets, declared, matches)
+    pred_sets = [
+        c if isinstance(c, frozenset) else frozenset(m.token_indices for m in c)
+        for c in pred_clusters
+    ]
+    return _score_by_key(pred_sets, declared)
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +212,19 @@ def score_re(pred: list, gold: list, doc: Document,
     policy = policy or MatchPolicy()
     mmap = doc.mention_map()
 
-    def endpoint_matches(indices, surface, gold_mention: Mention) -> bool:
-        if policy.span_mode == "exact_span":
-            return indices is not None and indices == tuple(gold_mention.token_indices)
-        return normalize_phrase(surface) == normalize_phrase(doc.surface(gold_mention))
-
-    def matches(p: GroundedRelation, g: Relation) -> bool:
-        if policy.type_sensitive and normalize_type_name(p.relation_type) != \
-                normalize_type_name(g.relation_type):
-            return False
-        return endpoint_matches(
-            p.source_indices, p.source_surface, mmap[g.source_mention_id]
-        ) and endpoint_matches(
-            p.target_indices, p.target_surface, mmap[g.target_mention_id]
-        )
-
-    return _score_by_predicate(list(pred), list(gold), matches)
+    pred_keys = [
+        (_type_key(p.relation_type, policy),
+         _pred_span_key(p.source_indices, p.source_surface, policy),
+         _pred_span_key(p.target_indices, p.target_surface, policy))
+        for p in pred
+    ]
+    gold_keys = [
+        (_type_key(g.relation_type, policy),
+         _gold_span_key(mmap[g.source_mention_id], doc, policy),
+         _gold_span_key(mmap[g.target_mention_id], doc, policy))
+        for g in gold
+    ]
+    return _score_by_key(pred_keys, gold_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +253,17 @@ def normalize_action(text: str, mode: str) -> object:
 
 def score_constraints(pred: list, gold: list,
                       policy: MatchPolicy | None = None) -> TaskScores:
-    policy = policy or MatchPolicy()
-    mode = policy.constraint_normalization
+    mode = (policy or MatchPolicy()).constraint_normalization
 
-    def gold_actions(g: Constraint) -> tuple:
-        if g.second_action is None:
-            return (g.first_action,)
-        return (g.first_action, g.second_action)
+    def key(constraint_type: str, negated: bool, actions) -> tuple:
+        return (normalize_type_name(constraint_type), negated,
+                tuple(normalize_action(a, mode) for a in actions))
 
-    def matches(p: ParsedConstraint, g: Constraint) -> bool:
-        if normalize_type_name(p.constraint_type) != \
-                normalize_type_name(g.constraint_type):
-            return False
-        if p.negated != g.negated:
-            return False
-        gactions = gold_actions(g)
-        if len(p.actions) != len(gactions):
-            return False
-        return all(
-            normalize_action(a, mode) == normalize_action(b, mode)
-            for a, b in zip(p.actions, gactions)
-        )
-
-    return _score_by_predicate(list(pred), list(gold), matches)
+    pred_keys = [key(p.constraint_type, p.negated, p.actions) for p in pred]
+    gold_keys = [
+        key(g.constraint_type, g.negated,
+            (g.first_action,) if g.second_action is None
+            else (g.first_action, g.second_action))
+        for g in gold
+    ]
+    return _score_by_key(pred_keys, gold_keys)

@@ -1,9 +1,10 @@
 """Chat-completion client with a content-addressed record/replay cache.
 
 Every request is keyed by a hash of (model_id, temperature,
-prompt_text). In record mode a cache miss calls the configured
-provider once and persists the response; in replay mode a miss is an
-error and the network is never touched. One JSON file per entry keeps
+prompt_text), plus max_output_tokens when it is set. In record mode a
+cache miss calls the configured provider once and persists the
+response; in replay mode a miss is an error and the network is never
+touched. One JSON file per entry keeps
 the cache diffable and usable as a test fixture.
 """
 
@@ -15,6 +16,7 @@ import os
 import re
 import threading
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,6 +74,9 @@ def cache_key(request: ChatRequest) -> CacheKey:
             "model_id": request.model_id,
             "temperature": request.temperature,
             "prompt_text": request.prompt_text,
+            # only when set, so digests recorded without a cap stay valid
+            **({} if request.max_output_tokens is None
+               else {"max_output_tokens": request.max_output_tokens}),
         },
         sort_keys=True,
         ensure_ascii=False,
@@ -195,6 +200,7 @@ class CachingClient:
         self.sleep = sleep
         self.clock = clock
         self.min_interval = min_interval
+        self.max_concurrency = max_concurrency
         self._semaphore = threading.BoundedSemaphore(max_concurrency)
         self._locks: dict = {}
         self._locks_guard = threading.Lock()
@@ -235,7 +241,8 @@ class CachingClient:
             },
         }
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
+        # unique per write: concurrent writers never share a temp file
+        tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
         tmp.write_text(
             json.dumps(entry, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
             encoding="utf-8",

@@ -10,7 +10,7 @@ normalized text matches.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Document, SchemaDescriptor, normalize_phrase
 

@@ -19,13 +19,12 @@ import dataclasses
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .corpus import Dataset, Document, SchemaDescriptor
 from .eval import (
-    ConfusionCounts,
     MatchPolicy,
     TaskScores,
     aggregate,
@@ -47,9 +46,7 @@ from .parser import (
     parse,
 )
 from .prompt import (
-    ABLATION_ROWS,
     PromptConfig,
-    RenderedPrompt,
     ablation_variants,
     assemble,
     load_template,
@@ -58,7 +55,6 @@ from .prompt import (
 DEFAULT_MODEL_ID = "stub"
 DEFAULT_SHOT_COUNTS = (0, 1, 3)
 REPLAY_TIMESTAMP = "1970-01-01T00:00:00Z"
-MAX_WORKERS = 4
 
 SHOT_ROW_LABELS = {0: "zero-shot", 1: "1-shot", 3: "3-shot"}
 
@@ -149,12 +145,29 @@ def score_predictions(task: str, predictions, doc: Document,
     if task == "MD":
         return score_md(predictions, list(doc.mentions), policy, doc)
     if task == "ER":
-        return score_er(predictions, list(doc.entities), doc, policy)
+        return score_er(predictions, list(doc.entities), doc)
     if task == "RE":
         return score_re(predictions, list(doc.relations), doc, policy)
     if task == "CE":
         return score_constraints(predictions, list(doc.constraints), policy)
     raise ValueError(f"unknown task {task!r}")
+
+
+def score_dataset(dataset: Dataset, task: str, predictions_by_doc: dict):
+    """Score every document of a dataset under the schema's match policy.
+
+    predictions_by_doc maps document ids to task-shaped predictions; a
+    document without an entry counts as predicting nothing. Returns the
+    micro-aggregated scores and the per-document scores by id.
+    """
+    policy = MatchPolicy.from_schema(dataset.schema)
+    per_doc = {
+        doc.id: score_predictions(
+            task, predictions_by_doc.get(doc.id, ()), doc, policy
+        )
+        for doc in dataset.documents
+    }
+    return aggregate([s.counts for s in per_doc.values()]), per_doc
 
 
 def _document_config(config: PromptConfig, doc_id: str,
@@ -221,21 +234,18 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _run_over_documents(dataset, config, client, template, model_id,
                         fixed_shots):
-    """Extract every document concurrently; results keyed by id."""
+    """Extract every document concurrently; rows in dataset order."""
     docs = list(dataset.documents)
-    results: dict = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=MAX_WORKERS) as pool:
-        futures = {
-            pool.submit(
-                _extract_full, doc, config, client, docs, template,
-                model_id, fixed_shots,
-            ): doc
-            for doc in docs
-        }
-        for future in concurrent.futures.as_completed(futures):
-            doc = futures[future]
-            results[doc.id] = (doc,) + future.result()
-    return [results[doc.id] for doc in docs]
+
+    def extract(doc):
+        return (doc,) + _extract_full(doc, config, client, docs, template,
+                                      model_id, fixed_shots)
+
+    # the client's own limit bounds provider calls; more threads would wait
+    with concurrent.futures.ThreadPoolExecutor(
+        max_workers=client.max_concurrency
+    ) as pool:
+        return list(pool.map(extract, docs))
 
 
 def run_cell(dataset: Dataset, task: str, config: PromptConfig,
@@ -246,23 +256,18 @@ def run_cell(dataset: Dataset, task: str, config: PromptConfig,
     config = config.replace(task=task, schema=dataset.schema)
     if template is None:
         template = load_template()
-    policy = MatchPolicy.from_schema(dataset.schema)
 
     rows = _run_over_documents(
         dataset, config, client, template, model_id, fixed_shots
     )
-
-    counts: list = []
-    parsing_errors = 0
     fingerprints: dict = {}
-    per_doc_scores: dict = {}
+    predictions_by_doc: dict = {}
+    parsing_errors = 0
     for doc, rendered, response, report, predictions in rows:
         fingerprints[doc.id] = rendered.config_fingerprint
+        predictions_by_doc[doc.id] = predictions
         parsing_errors += report.error_count
-        scored = score_predictions(task, predictions, doc, policy)
-        counts.append(scored.counts)
-        per_doc_scores[doc.id] = scored
-    total = aggregate(counts)
+    total, per_doc_scores = score_dataset(dataset, task, predictions_by_doc)
 
     manifest = RunManifest(
         dataset_name=dataset.schema.dataset_name,
@@ -453,19 +458,20 @@ def run_ablation(dataset: Dataset, tasks=("MD", "RE"),
         baseline_f1: float | None = None
         for label, variant in ablation_variants(task_base):
             try:
-                measured = _measure_variant(
-                    dataset, task, variant, client, template, model_id,
-                    fixed_shots,
+                cell = run_cell(
+                    dataset, task, variant, client, model_id=model_id,
+                    template=template, fixed_shots=fixed_shots,
                 )
             except Exception as exc:  # noqa: BLE001 - keep other rows alive
                 rows.append(AblationRow(task, label, None, None, 0,
                                         failure=f"{type(exc).__name__}: {exc}"))
                 continue
-            f1, errors = measured
+            f1 = cell.scores.f1
             if label == "Baseline":
                 baseline_f1 = f1
             relative = None if baseline_f1 is None else f1 - baseline_f1
-            rows.append(AblationRow(task, label, f1, relative, errors))
+            rows.append(AblationRow(task, label, f1, relative,
+                                    cell.parsing_errors))
     report = AblationReport(rows=tuple(rows))
     if out_root is not None:
         payload = {
@@ -478,20 +484,6 @@ def run_ablation(dataset: Dataset, tasks=("MD", "RE"),
             render_ablation_table(report), encoding="utf-8"
         )
     return report
-
-
-def _measure_variant(dataset, task, config, client, template, model_id,
-                     fixed_shots):
-    policy = MatchPolicy.from_schema(dataset.schema)
-    rows = _run_over_documents(
-        dataset, config, client, template, model_id, fixed_shots
-    )
-    counts = []
-    errors = 0
-    for doc, rendered, response, report, predictions in rows:
-        errors += report.error_count
-        counts.append(score_predictions(task, predictions, doc, policy).counts)
-    return aggregate(counts).f1, errors
 
 
 def render_ablation_table(report: AblationReport) -> str:
@@ -509,8 +501,11 @@ def render_ablation_table(report: AblationReport) -> str:
             if row.failure is not None:
                 out.append(f"  {row.label:<22}{'-':>9}{'-':>9}  [{row.failure}]")
                 continue
+            # relative F1 is missing when the Baseline row failed
+            relative = ("-" if row.relative_f1 is None
+                        else f"{row.relative_f1:+.3f}")
             out.append(
-                f"  {row.label:<22}{row.relative_f1:>+9.3f}"
+                f"  {row.label:<22}{relative:>9}"
                 f"{row.absolute_f1:>9.3f}{row.parsing_errors:>15}"
             )
         out.append("")

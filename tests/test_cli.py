@@ -172,6 +172,47 @@ def test_evaluate_gold_predictions(pet, capsys, tmp_path):
     assert "MD: P=1.00 R=1.00 F1=1.00" in capsys.readouterr().out
 
 
+def md_predictions_file(pet, tmp_path):
+    client = CachingClient(tmp_path / "cache", gold_echo(pet), mode="record")
+    cell = run_cell(pet, "MD", PromptConfig(task="MD", schema=pet.schema),
+                    client, out_root=tmp_path / "runs")
+    return tmp_path / "runs" / cell.manifest_id / "predictions.jsonl"
+
+
+def test_evaluate_counts_missing_documents_as_empty(pet, capsys, tmp_path):
+    predictions = md_predictions_file(pet, tmp_path)
+    lines = predictions.read_text(encoding="utf-8").splitlines()
+    dropped = max(pet.documents, key=lambda d: len(d.mentions))
+    kept = [line for line in lines
+            if json.loads(line)["document_id"] != dropped.id]
+    assert len(kept) == len(lines) - 1
+    predictions.write_text("\n".join(kept) + "\n", encoding="utf-8")
+
+    code = main(["evaluate", "--dataset", str(DATA / "pet.jsonl"),
+                 "--task", "MD", "--predictions", str(predictions)])
+    assert code == 0
+    gold = sum(len(d.mentions) for d in pet.documents)
+    recall = (gold - len(dropped.mentions)) / gold
+    assert recall < 0.995
+    out = capsys.readouterr().out
+    assert f"P=1.00 R={recall:.2f}" in out
+    assert f"(documents: {len(pet.documents)})" in out
+
+
+def test_evaluate_rejects_duplicate_document_records(pet, capsys, tmp_path):
+    predictions = md_predictions_file(pet, tmp_path)
+    lines = predictions.read_text(encoding="utf-8").splitlines()
+    predictions.write_text("\n".join(lines + lines[:1]) + "\n",
+                           encoding="utf-8")
+
+    code = main(["evaluate", "--dataset", str(DATA / "pet.jsonl"),
+                 "--task", "MD", "--predictions", str(predictions)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ")
+    assert json.loads(lines[0])["document_id"] in err
+
+
 def test_evaluate_task_mismatch(pet, capsys, tmp_path):
     cache = tmp_path / "cache"
     client = CachingClient(cache, gold_echo(pet), mode="record")

@@ -357,3 +357,246 @@ def test_policies_from_schemas():
 def test_counts_validation():
     with pytest.raises(ValueError):
         ConfusionCounts(3, 2, 5)
+
+
+# ---------------------------------------------------------------------------
+# keyed counts against the matching oracle
+#
+# The scorers count matches per key. These are the pairwise predicates
+# the keys stand for; the maximum matching over the pairs they admit
+# must give the same correct count on any document.
+
+WORDS = ["The", "the", "clerk", "clerk,", "files", "form", "."]
+MENTION_TYPES = ["Activity", "activity", "Actor", "activity_data", "Activity Data"]
+RELATION_TYPES = ["flow", "Flow", "uses"]
+CONSTRAINT_TYPES = ["precedence", "Precedence", "response"]
+ACTIONS = ["the form", "form", "Form", "is sent", "sent", "Files"]
+SPAN_POLICIES = [
+    MatchPolicy(span_mode=mode, type_sensitive=typed)
+    for mode in ("exact_span", "text_match")
+    for typed in (True, False)
+]
+
+
+@st.composite
+def scoring_cases(draw):
+    """A small document plus predictions for every task.
+
+    Most predictions copy a gold item and perturb it (type spelling,
+    case, edge punctuation, a determiner, swapped or dropped endpoints,
+    negation), so near misses and ties are common.
+    """
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8))
+
+    def span():
+        start = draw(st.integers(0, len(words) - 1))
+        width = draw(st.integers(1, min(2, len(words) - start)))
+        return tuple(range(start, start + width))
+
+    def phrase():
+        return " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1,
+                                      max_size=2)))
+
+    def variant(text):
+        return draw(st.sampled_from([text, text.upper(), text + ",",
+                                     "the " + text]))
+
+    def type_like(name, names):
+        return draw(st.sampled_from([name, name.upper(), name.replace(" ", "_")]
+                                    + names))
+
+    def from_gold(items):
+        return bool(items) and draw(st.booleans())
+
+    mentions = tuple(
+        Mention(f"m{i}", draw(st.sampled_from(MENTION_TYPES)), span())
+        for i in range(draw(st.integers(0, 5)))
+    )
+    ids = [m.id for m in mentions]
+    groups: dict = {}
+    for mid in ids:
+        groups.setdefault(draw(st.integers(0, 3)), []).append(mid)
+    entities = tuple(
+        Entity(f"e{k}", frozenset(members))
+        for k, members in groups.items() if len(members) > 1
+    )
+    relations = tuple(
+        Relation(f"r{i}", draw(st.sampled_from(RELATION_TYPES)),
+                 draw(st.sampled_from(ids)), draw(st.sampled_from(ids)))
+        for i in range(draw(st.integers(0, 4) if ids else st.just(0)))
+    )
+
+    def actions():
+        return tuple(draw(st.lists(st.sampled_from(ACTIONS), min_size=1,
+                                   max_size=2)))
+
+    constraints = []
+    for i in range(draw(st.integers(0, 4))):
+        first, *rest = actions()
+        constraints.append(Constraint(
+            f"c{i}", draw(st.sampled_from(CONSTRAINT_TYPES)),
+            draw(st.booleans()), first, rest[0] if rest else None,
+        ))
+    doc = Document(
+        id="d", raw_text=" ".join(words),
+        tokens=tuple(Token(w, i, 0) for i, w in enumerate(words)),
+        mentions=mentions, entities=entities, relations=relations,
+        constraints=tuple(constraints),
+    )
+    mmap = doc.mention_map()
+
+    def surface_of(s):
+        return " ".join(words[i] for i in s)
+
+    def md_prediction():
+        if from_gold(mentions):
+            g = draw(st.sampled_from(mentions))
+            mtype, s = type_like(g.mention_type, MENTION_TYPES), g.token_indices
+        else:
+            mtype, s = draw(st.sampled_from(MENTION_TYPES)), span()
+        if draw(st.booleans()):
+            return GroundedMention(mtype, s, surface_of(s))
+        return ParsedMention(mtype, variant(surface_of(s)))
+
+    def re_prediction():
+        if from_gold(relations):
+            g = draw(st.sampled_from(relations))
+            rtype = type_like(g.relation_type, RELATION_TYPES)
+            ends = [mmap[g.source_mention_id].token_indices,
+                    mmap[g.target_mention_id].token_indices]
+            if draw(st.booleans()):
+                ends.reverse()
+        else:
+            rtype, ends = draw(st.sampled_from(RELATION_TYPES)), [span(), span()]
+        fields = []
+        for s in ends:  # an endpoint may fail to ground yet keep its text
+            fields += [None if draw(st.booleans()) else s, variant(surface_of(s))]
+        return GroundedRelation(rtype, *fields)
+
+    def er_prediction():
+        if from_gold(mentions):
+            if entities and draw(st.booleans()):
+                members = draw(st.sampled_from(entities)).mention_ids
+            else:
+                members = {draw(st.sampled_from(mentions)).id}
+            pool = sorted({mmap[mid].token_indices for mid in members})
+            spans = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                  max_size=len(pool), unique=True))
+        else:
+            spans = [span() for _ in range(draw(st.integers(1, 2)))]
+        return tuple(GroundedMention("entity", s, surface_of(s)) for s in spans)
+
+    def ce_prediction():
+        if from_gold(constraints):
+            g = draw(st.sampled_from(constraints))
+            acts = (g.first_action,) if g.second_action is None \
+                else (g.first_action, g.second_action)
+            return ParsedConstraint(
+                type_like(g.constraint_type, CONSTRAINT_TYPES),
+                g.negated != draw(st.booleans()),
+                tuple(variant(a) for a in acts),
+            )
+        return ParsedConstraint(draw(st.sampled_from(CONSTRAINT_TYPES)),
+                                draw(st.booleans()), actions())
+
+    def some(make):
+        return [make() for _ in range(draw(st.integers(0, 6)))]
+
+    return (doc, some(md_prediction), some(re_prediction),
+            some(er_prediction), some(ce_prediction))
+
+
+def oracle_correct(pred, gold, matches) -> int:
+    pairs = [
+        (i, j)
+        for i, p in enumerate(pred)
+        for j, g in enumerate(gold)
+        if matches(p, g)
+    ]
+    return max_matching(pairs, len(pred), len(gold))
+
+
+def same_type(policy, a: str, b: str) -> bool:
+    return not policy.type_sensitive or \
+        corpus.normalize_type_name(a) == corpus.normalize_type_name(b)
+
+
+def span_matches(policy, doc, indices, surface, gold: Mention) -> bool:
+    if policy.span_mode == "exact_span":
+        return indices is not None and indices == tuple(gold.token_indices)
+    return corpus.normalize_phrase(surface) == \
+        corpus.normalize_phrase(doc.surface(gold))
+
+
+@given(case=scoring_cases())
+def test_md_keyed_counts_equal_matching_oracle(case):
+    doc, pred, *_ = case
+    for policy in SPAN_POLICIES:
+        def matches(p, g):
+            grounded = isinstance(p, GroundedMention)
+            if policy.span_mode == "exact_span" and not grounded:
+                return False
+            return same_type(policy, p.mention_type, g.mention_type) and \
+                span_matches(policy, doc, p.token_indices if grounded else None,
+                             p.matched_surface if grounded else p.surface, g)
+
+        gold = list(doc.mentions)
+        assert score_md(pred, gold, policy, doc).counts.correct == \
+            oracle_correct(pred, gold, matches), policy
+
+
+@given(case=scoring_cases())
+def test_re_keyed_counts_equal_matching_oracle(case):
+    doc, _, pred, *_ = case
+    mmap = doc.mention_map()
+    for policy in SPAN_POLICIES:
+        def matches(p, g):
+            return (
+                same_type(policy, p.relation_type, g.relation_type)
+                and span_matches(policy, doc, p.source_indices,
+                                 p.source_surface, mmap[g.source_mention_id])
+                and span_matches(policy, doc, p.target_indices,
+                                 p.target_surface, mmap[g.target_mention_id])
+            )
+
+        gold = list(doc.relations)
+        assert score_re(pred, gold, doc, policy).counts.correct == \
+            oracle_correct(pred, gold, matches), policy
+
+
+@given(case=scoring_cases())
+def test_er_keyed_counts_equal_matching_oracle(case):
+    doc, _, _, pred, _ = case
+    mmap = doc.mention_map()
+    clustered = {mid for e in doc.entities for mid in e.mention_ids}
+    gold_sets = [
+        frozenset(mmap[mid].token_indices for mid in e.mention_ids)
+        for e in doc.entities
+    ] + [frozenset([m.token_indices]) for m in doc.mentions
+         if m.id not in clustered]
+    pred_sets = [frozenset(m.token_indices for m in c) for c in pred]
+    assert score_er(pred, list(doc.entities), doc).counts.correct == \
+        oracle_correct(pred_sets, gold_sets, lambda p, g: p == g)
+
+
+@given(case=scoring_cases())
+def test_ce_keyed_counts_equal_matching_oracle(case):
+    doc, *_, pred = case
+    for mode in ("verbatim", "lemma_like"):
+        policy = MatchPolicy(constraint_normalization=mode)
+
+        def matches(p, g):
+            gold_actions = (g.first_action,) if g.second_action is None \
+                else (g.first_action, g.second_action)
+            return (
+                corpus.normalize_type_name(p.constraint_type)
+                == corpus.normalize_type_name(g.constraint_type)
+                and p.negated == g.negated
+                and len(p.actions) == len(gold_actions)
+                and all(ev.normalize_action(a, mode) == ev.normalize_action(b, mode)
+                        for a, b in zip(p.actions, gold_actions))
+            )
+
+        gold = list(doc.constraints)
+        assert score_constraints(pred, gold, policy).counts.correct == \
+            oracle_correct(pred, gold, matches), mode

@@ -50,6 +50,20 @@ def test_cache_key_deterministic_and_distinct():
     assert a != cache_key(make_request(temp=1.0))
 
 
+def test_cache_key_separates_output_caps():
+    capped = ChatRequest("test-model", "hello world", max_output_tokens=64)
+    assert cache_key(capped) != cache_key(make_request())
+    assert cache_key(capped) != cache_key(
+        ChatRequest("test-model", "hello world", max_output_tokens=128)
+    )
+
+
+def test_cache_key_without_cap_keeps_recorded_digest():
+    # the digest every cache recorded before the cap joined the key
+    assert cache_key(make_request()).digest == \
+        "d6b7e55b57332e9e3364e720430d7b29c3209b8aa5ff79264b84e3fa27a88f19"
+
+
 # ---------------------------------------------------------------------------
 # record and replay
 
@@ -73,6 +87,16 @@ def test_cache_file_is_inspectable(tmp_path):
     entry = json.loads(path.read_text())
     assert entry["request"]["prompt_text"] == "hello world"
     assert entry["response"]["text"] == "reply"
+
+
+def test_store_survives_a_directory_on_the_old_temp_name(tmp_path):
+    request = make_request()
+    digest = cache_key(request).digest
+    (tmp_path / f"{digest}.tmp").mkdir()
+    client = CachingClient(tmp_path, SpyProvider(), "record")
+    assert client.complete(request).text == "reply"
+    assert (tmp_path / f"{digest}.json").is_file()
+    assert [p.name for p in tmp_path.glob("*.tmp")] == [f"{digest}.tmp"]
 
 
 def test_replay_hits_without_provider(tmp_path):

@@ -292,6 +292,17 @@ def test_ablation_failed_variant_marked(decon, tmp_path):
     assert "[ProviderError" in table
 
 
+def test_ablation_table_without_baseline_marks_relative_f1():
+    report = AblationReport(rows=(
+        pipeline.AblationRow("MD", "Baseline", None, None, 0,
+                             failure="ProviderError: refused"),
+        pipeline.AblationRow("MD", "No Persona", 0.5, None, 2),
+    ))
+    lines = pipeline.render_ablation_table(report).splitlines()
+    row = next(line for line in lines if "No Persona" in line)
+    assert row.split() == ["No", "Persona", "-", "0.500", "2"]
+
+
 def test_ablation_persists_table(decon, tmp_path):
     client = echo_client(decon, tmp_path)
     out = tmp_path / "abl"
