@@ -93,6 +93,29 @@ def _fail(category: str, message: str) -> None:
     sys.stderr.write(f"error: {category}: {_one_line(message)}\n")
 
 
+_DATA_ERRORS = (LoadError, ValidationError, PromptError, KeyError, ValueError,
+                OSError)
+
+
+def _data_message(exc: Exception) -> str:
+    if isinstance(exc, FileNotFoundError):
+        return f"{exc.filename}: no such file"
+    if isinstance(exc, KeyError):
+        return f"unknown id {exc.args[0]!r}" if exc.args else str(exc)
+    return str(exc)
+
+
+def _fail_rows(what: str, failed) -> int:
+    """Report failed grid cells or ablation rows under the first one's category."""
+    first = failed[0]
+    message = f"{len(failed)} {what} failed; first: {first.failure}"
+    if isinstance(first.error, _DATA_ERRORS):
+        _fail("data", message)
+        return EXIT_DATA
+    _fail("provider", message)
+    return EXIT_PROVIDER
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="procex",
@@ -339,10 +362,7 @@ def cmd_grid(args) -> int:
     )
     sys.stdout.write(result.table_text)
     if result.failures:
-        first = result.failures[0]
-        _fail("provider", f"{len(result.failures)} cell(s) failed; "
-                          f"first: {first.failure}")
-        return EXIT_PROVIDER
+        return _fail_rows("cell(s)", result.failures)
     return EXIT_OK
 
 
@@ -364,9 +384,7 @@ def cmd_ablate(args) -> int:
     sys.stdout.write(render_ablation_table(report))
     failed = [r for r in report.rows if r.failure is not None]
     if failed:
-        _fail("provider", f"{len(failed)} variant(s) failed; "
-                          f"first: {failed[0].failure}")
-        return EXIT_PROVIDER
+        return _fail_rows("variant(s)", failed)
     return EXIT_OK
 
 
@@ -506,17 +524,8 @@ def main(argv=None) -> int:
     except (ProviderError, ReplayMissError) as exc:
         _fail("provider", str(exc))
         return EXIT_PROVIDER
-    except (LoadError, ValidationError, PromptError) as exc:
-        _fail("data", str(exc))
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        _fail("data", f"{exc.filename}: no such file")
-        return EXIT_DATA
-    except KeyError as exc:
-        _fail("data", f"unknown id {exc.args[0]!r}" if exc.args else str(exc))
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
-        _fail("data", str(exc))
+    except _DATA_ERRORS as exc:
+        _fail("data", _data_message(exc))
         return EXIT_DATA
 
 

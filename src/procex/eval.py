@@ -108,26 +108,36 @@ def aggregate(per_doc: list) -> TaskScores:
 
 
 def max_matching(pairs: list, n_pred: int, n_gold: int) -> int:
-    """Size of a maximum bipartite matching given admissible (pred, gold) pairs."""
+    """Size of a maximum bipartite matching given admissible (pred, gold) pairs.
+
+    Augmenting paths are searched depth first with an explicit stack, so
+    a path may be as long as the graph without hitting the recursion limit.
+    """
     adj: list = [[] for _ in range(n_pred)]
     for p, g in pairs:
         adj[p].append(g)
     match_of_gold = [-1] * n_gold
-
-    def augment(p: int, seen: list) -> bool:
-        for g in adj[p]:
-            if seen[g]:
+    size = 0
+    for root in range(n_pred):
+        seen = [False] * n_gold
+        stack = [(root, iter(adj[root]))]
+        via: list = []  # via[i] is the gold vertex leading to stack[i + 1]
+        while stack:
+            p, options = stack[-1]
+            g = next((g for g in options if not seen[g]), None)
+            if g is None:
+                stack.pop()
+                if via:
+                    via.pop()
                 continue
             seen[g] = True
-            if match_of_gold[g] == -1 or augment(match_of_gold[g], seen):
-                match_of_gold[g] = p
-                return True
-        return False
-
-    size = 0
-    for p in range(n_pred):
-        if augment(p, [False] * n_gold):
-            size += 1
+            via.append(g)
+            if match_of_gold[g] == -1:
+                for (q, _), h in zip(stack, via):
+                    match_of_gold[h] = q
+                size += 1
+                break
+            stack.append((match_of_gold[g], iter(adj[match_of_gold[g]])))
     return size
 
 

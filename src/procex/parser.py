@@ -3,8 +3,9 @@
 The output grammar is pipe-delimited, one record per line. Parsing is
 total: malformed input becomes error accounting, never an exception.
 Grounding maps surface strings back to token spans of the source
-document by scanning left to right for the first unused window whose
-normalized text matches.
+document: the first unused window, left to right, whose normalized text
+matches.  A per-document window index finds the candidate windows
+without rescanning the document for every surface.
 """
 
 from __future__ import annotations
@@ -173,40 +174,74 @@ def _is_wordlike(text: str) -> bool:
     return any(ch.isalnum() for ch in text)
 
 
-def ground(parsed: ParsedMention, doc: Document, used: set):
-    """Ground one surface to the first unused matching token window."""
-    target = normalize_phrase(parsed.surface)
-    if not target:
+class WindowIndex:
+    """The token windows of one document, keyed by normalized text.
+
+    Windows of one width are indexed the first time a surface of that
+    width is grounded; only windows whose first and last tokens are
+    wordlike go in.  Each key maps to its start positions in ascending
+    order, so the first free start is the leftmost matching window.
+    """
+
+    def __init__(self, doc: Document):
+        self.words = [t.text for t in doc.tokens]
+        self.wordlike = [_is_wordlike(w) for w in self.words]
+        self._by_width: dict = {}
+
+    def _starts(self, target: str, width: int):
+        table = self._by_width.get(width)
+        if table is None:
+            table = {}
+            words, wordlike = self.words, self.wordlike
+            for start in range(len(words) - width + 1):
+                if wordlike[start] and wordlike[start + width - 1]:
+                    key = normalize_phrase(" ".join(words[start:start + width]))
+                    table.setdefault(key, []).append(start)
+            self._by_width[width] = table
+        return table.get(target, ())
+
+    def ground(self, parsed: ParsedMention, used_tokens: set):
+        """Ground one surface to the first window with no token in used_tokens.
+
+        The window's tokens are added to used_tokens.
+        """
+        target = normalize_phrase(parsed.surface)
+        if not target:
+            return None
+        width = len(target.split())
+        for start in self._starts(target, width):
+            span = range(start, start + width)
+            if used_tokens.isdisjoint(span):
+                used_tokens.update(span)
+                return GroundedMention(
+                    mention_type=parsed.mention_type,
+                    token_indices=tuple(span),
+                    matched_surface=" ".join(self.words[start:start + width]),
+                )
         return None
-    width = len(target.split())
-    words = [t.text for t in doc.tokens]
-    for start in range(len(words) - width + 1):
-        window = words[start:start + width]
-        if not _is_wordlike(window[0]) or not _is_wordlike(window[-1]):
-            continue
-        if normalize_phrase(" ".join(window)) != target:
-            continue
-        span = tuple(range(start, start + width))
-        if any(set(span) & set(u) for u in used):
-            continue
-        used.add(span)
-        return GroundedMention(
-            mention_type=parsed.mention_type,
-            token_indices=span,
-            matched_surface=" ".join(window),
-        )
-    return None
+
+
+def ground(parsed: ParsedMention, doc: Document, used: set):
+    """Ground one surface to the first unused matching token window.
+
+    ``used`` is a set of token-index spans; the grounded span is added.
+    """
+    hit = WindowIndex(doc).ground(parsed, {i for span in used for i in span})
+    if hit is not None:
+        used.add(hit.token_indices)
+    return hit
 
 
 def ground_report(report: ParseReport, doc: Document):
     """Ground every ParsedMention item with one shared used set."""
+    index = WindowIndex(doc)
     used: set = set()
     grounded: list = []
     ungrounded: list = []
     for item in report.items:
         if not isinstance(item, ParsedMention):
             continue
-        hit = ground(item, doc, used)
+        hit = index.ground(item, used)
         if hit is None:
             ungrounded.append(item)
         else:
@@ -216,6 +251,7 @@ def ground_report(report: ParseReport, doc: Document):
 
 def ground_clusters(report: ParseReport, doc: Document):
     """Ground ER clusters; all clusters share one used set."""
+    index = WindowIndex(doc)
     used: set = set()
     clusters: list = []
     ungrounded: list = []
@@ -224,7 +260,7 @@ def ground_clusters(report: ParseReport, doc: Document):
             continue
         members: list = []
         for surface in item.surfaces:
-            hit = ground(ParsedMention("entity", surface), doc, used)
+            hit = index.ground(ParsedMention("entity", surface), used)
             if hit is None:
                 ungrounded.append(surface)
             else:
@@ -235,13 +271,14 @@ def ground_clusters(report: ParseReport, doc: Document):
 
 def ground_relations(report: ParseReport, doc: Document):
     """Ground RE endpoints; each relation gets a fresh used set."""
+    index = WindowIndex(doc)
     out: list = []
     for item in report.items:
         if not isinstance(item, ParsedRelation):
             continue
         used: set = set()
-        src = ground(ParsedMention("", item.source_surface), doc, used)
-        tgt = ground(ParsedMention("", item.target_surface), doc, used)
+        src = index.ground(ParsedMention("", item.source_surface), used)
+        tgt = index.ground(ParsedMention("", item.target_surface), used)
         out.append(
             GroundedRelation(
                 relation_type=item.relation_type,

@@ -38,7 +38,7 @@ from .parser import (
     ParsedConstraint,
     ParsedMention,
     ParseReport,
-    ground,
+    WindowIndex,
     ground_clusters,
     ground_relations,
     ground_report,
@@ -213,6 +213,9 @@ class CellResult:
     parsing_errors: int
     manifest_id: str | None
     failure: str | None = None
+    # the exception behind ``failure``, kept so callers can classify it
+    error: Exception | None = dataclasses.field(default=None, compare=False,
+                                                repr=False)
 
 
 @dataclass(frozen=True)
@@ -374,6 +377,7 @@ def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS,
                     parsing_errors=0,
                     manifest_id=None,
                     failure=f"{type(exc).__name__}: {exc}",
+                    error=exc,
                 )
             cells.append(cell)
     table = render_grid_table(cells)
@@ -433,6 +437,9 @@ class AblationRow:
     relative_f1: float | None
     parsing_errors: int
     failure: str | None = None
+    # the exception behind ``failure``, kept so callers can classify it
+    error: Exception | None = dataclasses.field(default=None, compare=False,
+                                                repr=False)
 
 
 @dataclass(frozen=True)
@@ -464,7 +471,8 @@ def run_ablation(dataset: Dataset, tasks=("MD", "RE"),
                 )
             except Exception as exc:  # noqa: BLE001 - keep other rows alive
                 rows.append(AblationRow(task, label, None, None, 0,
-                                        failure=f"{type(exc).__name__}: {exc}"))
+                                        failure=f"{type(exc).__name__}: {exc}",
+                                        error=exc))
                 continue
             f1 = cell.scores.f1
             if label == "Baseline":
@@ -475,7 +483,11 @@ def run_ablation(dataset: Dataset, tasks=("MD", "RE"),
     report = AblationReport(rows=tuple(rows))
     if out_root is not None:
         payload = {
-            "rows": [dataclasses.asdict(r) for r in report.rows],
+            "rows": [
+                {f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+                 if f.name != "error"}
+                for r in report.rows
+            ],
         }
         root = Path(out_root)
         root.mkdir(parents=True, exist_ok=True)
@@ -549,6 +561,7 @@ def run_agents(doc: Document, mention_types, config: PromptConfig,
     if template is None:
         template = load_template()
 
+    index = WindowIndex(doc)
     used: set = set()
     combined: list = []
     for mention_type in mention_types:
@@ -567,6 +580,6 @@ def run_agents(doc: Document, mention_types, config: PromptConfig,
         for item in report.items:
             if not isinstance(item, ParsedMention):
                 continue
-            hit = ground(item, doc, used)
+            hit = index.ground(item, used)
             combined.append(hit if hit is not None else item)
     return combined

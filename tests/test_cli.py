@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from procex import corpus
+from procex import corpus, pipeline
 from procex.bpmn import parse_bpmn
 from procex.cli import main
 from procex.corpus import Dataset, Document, Mention, Token, save_canonical
 from procex.llm import CachingClient, ChatRequest, ChatResponse
 from procex.pipeline import extract_document, run_cell, run_grid
-from procex.prompt import PromptConfig, render_gold
+from procex.prompt import PromptConfig, PromptError, render_gold
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -251,6 +251,37 @@ def test_grid_failure_exit_code(pet, capsys, tmp_path):
     captured = capsys.readouterr()
     assert "error: provider:" in captured.err
     assert "[" in captured.out  # the table still renders, with failure marks
+
+
+def test_grid_data_failure_is_a_data_error(capsys, tmp_path):
+    # 50 shots cannot be drawn from the 17-document decon corpus
+    code = main(["grid", "--dataset", str(DATA / "decon.jsonl"),
+                 "--tasks", "MD", "--shots", "50",
+                 "--mode", "replay", "--cache", str(tmp_path / "none"),
+                 "--out", str(tmp_path / "grid")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: 1 cell(s) failed; first: PromptError:")
+
+
+def test_ablate_failure_category_follows_the_exception(pet, capsys, tmp_path,
+                                                       monkeypatch):
+    def failing_cell(dataset, task, config, *args, **kwargs):
+        raise PromptError("shot pool too small")
+
+    monkeypatch.setattr(pipeline, "run_cell", failing_cell)
+    argv = ["ablate", "--dataset", str(DATA / "pet.jsonl"), "--tasks", "MD",
+            "--mode", "replay", "--cache", str(tmp_path / "none"),
+            "--out", str(tmp_path / "abl")]
+    assert main(argv) == 2
+    assert "error: data: 10 variant(s) failed" in capsys.readouterr().err
+    saved = json.loads((tmp_path / "abl" / "ablation.json").read_text())
+    assert saved["rows"][0]["failure"] == "PromptError: shot pool too small"
+    assert "error" not in saved["rows"][0]
+
+    monkeypatch.undo()
+    assert main(argv) == 3  # an empty replay cache is a provider failure
+    assert "error: provider: 10 variant(s) failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

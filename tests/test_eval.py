@@ -120,6 +120,18 @@ def test_matching_beats_greedy():
     assert max_matching([(0, 0), (0, 1), (1, 0)], 2, 2) == 2
 
 
+def test_matching_long_augmenting_path():
+    # each pred first takes gold i + 1, so the last pred can only match by
+    # shifting every earlier pred back along a 3,000-step augmenting path
+    n = 3000
+    pairs = []
+    for i in range(n):
+        if i + 1 < n:
+            pairs.append((i, i + 1))
+        pairs.append((i, i))
+    assert max_matching(pairs, n, n) == n
+
+
 @given(
     n_pred=st.integers(0, 6),
     n_gold=st.integers(0, 6),

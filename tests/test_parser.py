@@ -3,15 +3,18 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from procex import corpus, parser
-from procex.corpus import Token, Document
+from procex.corpus import Document, Mention, Token, normalize_phrase
 from procex.parser import (
     ParsedCluster,
     ParsedConstraint,
     ParsedMention,
     ParsedRelation,
+    ParseReport,
+    GroundedMention,
+    GroundedRelation,
     ground,
     ground_clusters,
     ground_relations,
@@ -225,6 +228,164 @@ def test_ground_report_partition(pet, pet_schema):
     grounded, ungrounded = ground_report(parse(raw, "MD", pet_schema), doc)
     assert len(grounded) == 1 and len(ungrounded) == 1
     assert ungrounded[0].surface == "does not exist"
+
+
+# ---------------------------------------------------------------------------
+# the window index against the left-to-right scan it replaced
+
+def scan_ground(parsed, doc, used):
+    """Reference grounding: rescan every token window for each surface."""
+    target = normalize_phrase(parsed.surface)
+    if not target:
+        return None
+    width = len(target.split())
+    words = [t.text for t in doc.tokens]
+    for start in range(len(words) - width + 1):
+        window = words[start:start + width]
+        if not any(ch.isalnum() for ch in window[0]) or \
+                not any(ch.isalnum() for ch in window[-1]):
+            continue
+        if normalize_phrase(" ".join(window)) != target:
+            continue
+        span = tuple(range(start, start + width))
+        if any(set(span) & set(u) for u in used):
+            continue
+        used.add(span)
+        return GroundedMention(parsed.mention_type, span, " ".join(window))
+    return None
+
+
+def scan_ground_report(report, doc):
+    used: set = set()
+    grounded, ungrounded = [], []
+    for item in report.items:
+        if isinstance(item, ParsedMention):
+            hit = scan_ground(item, doc, used)
+            if hit is None:
+                ungrounded.append(item)
+            else:
+                grounded.append(hit)
+    return grounded, ungrounded
+
+
+def scan_ground_clusters(report, doc):
+    used: set = set()
+    clusters, ungrounded = [], []
+    for item in report.items:
+        if isinstance(item, ParsedCluster):
+            members = []
+            for surface in item.surfaces:
+                hit = scan_ground(ParsedMention("entity", surface), doc, used)
+                if hit is None:
+                    ungrounded.append(surface)
+                else:
+                    members.append(hit)
+            clusters.append(tuple(members))
+    return clusters, ungrounded
+
+
+def scan_ground_relations(report, doc):
+    out = []
+    for item in report.items:
+        if isinstance(item, ParsedRelation):
+            used: set = set()
+            src = scan_ground(ParsedMention("", item.source_surface), doc, used)
+            tgt = scan_ground(ParsedMention("", item.target_surface), doc, used)
+            out.append(GroundedRelation(
+                item.relation_type,
+                None if src is None else src.token_indices, item.source_surface,
+                None if tgt is None else tgt.token_indices, item.target_surface,
+            ))
+    return out
+
+
+# punctuation-only tokens, edge punctuation, mixed case, casefold
+# expansions (ß folds to ss) and whitespace inside a token
+WORDS = ["the", "The", "THE", "claim", "Claim.", "(claim", "claim)", ",", ".",
+         "--", "...", "straße", "STRASSE", "strasse", "ß", "SS", "a b",
+         "new\tline", "x", "X!", "", " ", "he"]
+
+
+@st.composite
+def grounding_cases(draw):
+    words = draw(st.lists(st.sampled_from(WORDS), max_size=24))
+
+    def surface():
+        if words and draw(st.booleans()):
+            start = draw(st.integers(0, len(words) - 1))
+            text = " ".join(words[start:start + draw(st.integers(1, 4))])
+            return draw(st.sampled_from(
+                [text, text.upper(), text.casefold(), f"{text}.", f" ({text}) "]
+            ))
+        # includes empty and punctuation-only surfaces
+        return draw(st.text(alphabet="abAB ß.,-(", max_size=8))
+
+    pool = [surface() for _ in range(draw(st.integers(1, 6)))]
+    pick = st.sampled_from(pool)  # drawing from a small pool repeats surfaces
+    mentions = draw(st.lists(pick, max_size=12))
+    clusters = draw(st.lists(st.lists(pick, min_size=1, max_size=4), max_size=5))
+    relations = draw(st.lists(st.tuples(pick, pick), max_size=6))
+    items = tuple(
+        [ParsedMention("Activity", s) for s in mentions]
+        + [ParsedCluster(tuple(c)) for c in clusters]
+        + [ParsedRelation("flow", a, b) for a, b in relations]
+    )
+    used = set()
+    if words:
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(st.integers(0, len(words) - 1))
+            width = draw(st.integers(1, 3))
+            used.add(tuple(range(start, min(start + width, len(words)))))
+    return make_doc(words), ParseReport(items, (), 0), pool, used
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grounding_cases())
+def test_window_index_grounds_like_the_scan(case):
+    doc, report, pool, used = case
+    assert ground_report(report, doc) == scan_ground_report(report, doc)
+    assert ground_clusters(report, doc) == scan_ground_clusters(report, doc)
+    assert ground_relations(report, doc) == scan_ground_relations(report, doc)
+    indexed, scanned = set(used), set(used)
+    for surface in pool:
+        item = ParsedMention("Actor", surface)
+        assert ground(item, doc, indexed) == scan_ground(item, doc, scanned)
+        assert indexed == scanned
+
+
+def concatenated(documents, k):
+    """One document holding ``documents`` k times over, mentions shifted."""
+    tokens, mentions = [], []
+    for copy in range(k):
+        for doc in documents:
+            base = len(tokens)
+            tokens.extend(Token(t.text, base + t.index, 0) for t in doc.tokens)
+            mentions.extend(
+                Mention(f"c{copy}-{doc.id}-{m.id}", m.mention_type,
+                        tuple(base + i for i in m.token_indices))
+                for m in doc.mentions
+            )
+    return Document(id=f"pet-{k}x", raw_text=" ".join(t.text for t in tokens),
+                    tokens=tuple(tokens), mentions=tuple(mentions))
+
+
+def test_grounding_cost_grows_linearly(pet, pet_schema, monkeypatch):
+    calls = [0]
+
+    def counted(text):
+        calls[0] += 1
+        return normalize_phrase(text)
+
+    monkeypatch.setattr(parser, "normalize_phrase", counted)
+    counts = []
+    for k in (1, 2):
+        doc = concatenated(pet.documents, k)
+        report = parse("\n".join(render_gold(doc, "MD")), "MD", pet_schema)
+        calls[0] = 0
+        grounded, ungrounded = ground_report(report, doc)
+        assert len(grounded) == len(doc.mentions) and not ungrounded
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0], counts
 
 
 # ---------------------------------------------------------------------------
