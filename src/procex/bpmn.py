@@ -14,7 +14,9 @@ mistakes; a missing performer can put a step into the wrong lane.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from xml.sax.saxutils import escape, quoteattr
 
@@ -103,38 +105,42 @@ class _Ids:
 # ---------------------------------------------------------------------------
 # role helpers
 
-def _mentions_of_role(doc: Document, schema: SchemaDescriptor, role: str):
-    return [
-        m for m in doc.mentions if schema.mention_role_of(m.mention_type) == role
-    ]
+# key of the mention group holding both gateway roles
+GATEWAY_ROLES = ("xor_gateway", "and_gateway")
 
 
-def _gateway_mentions(doc: Document, schema: SchemaDescriptor):
-    return [
-        m for m in doc.mentions
-        if schema.mention_role_of(m.mention_type) in ("xor_gateway", "and_gateway")
-    ]
+def _mentions_by_role(doc: Document, schema: SchemaDescriptor):
+    """Mentions grouped by role, each group in document order."""
+    groups = defaultdict(list)
+    for m in doc.mentions:
+        role = schema.mention_role_of(m.mention_type)
+        groups[role].append(m)
+        if role in GATEWAY_ROLES:
+            groups[GATEWAY_ROLES].append(m)
+    return groups
+
+
+def _relations_by_role(doc: Document, schema: SchemaDescriptor):
+    """Relations grouped by role, each group in document order."""
+    groups = defaultdict(list)
+    for r in doc.relations:
+        groups[schema.relation_role_of(r.relation_type)].append(r)
+    return groups
 
 
 def _relation_type_for(schema: SchemaDescriptor, role: str) -> str | None:
-    names = schema.role_types("relation", role)
-    return names[0] if names else None
+    return next(iter(schema.relation_roles.get(role, ())), None)
 
 
-def _relations_of_role(doc: Document, schema: SchemaDescriptor, role: str):
-    return [
-        r for r in doc.relations if schema.relation_role_of(r.relation_type) == role
-    ]
-
-
-def nearest_left_actor(doc: Document, schema: SchemaDescriptor, token_index: int):
-    """Closest actor mention fully left of token_index.
+def _nearest_left(mentions, token_index: int):
+    """Closest of mentions fully left of token_index, None when none is.
 
     Closeness is the mention's last token; ties (overlapping
-    candidates) break toward the later start index.
+    candidates) break toward the later start index, then the earlier
+    mention.
     """
     best = None
-    for m in _mentions_of_role(doc, schema, "actor"):
+    for m in mentions:
         if m.token_indices[-1] >= token_index:
             continue
         if best is None or (
@@ -145,16 +151,25 @@ def nearest_left_actor(doc: Document, schema: SchemaDescriptor, token_index: int
     return best
 
 
+def _left_neighbours(mentions, candidates):
+    """(mention, its nearest-left candidate) for each mention that has one."""
+    for m in mentions:
+        nearest = _nearest_left(candidates, m.token_indices[0])
+        if nearest is not None:
+            yield m, nearest
+
+
+def nearest_left_actor(doc: Document, schema: SchemaDescriptor, token_index: int):
+    """Closest actor mention fully left of token_index (see _nearest_left)."""
+    return _nearest_left(_mentions_by_role(doc, schema)["actor"], token_index)
+
+
 # ---------------------------------------------------------------------------
 # consolidation
 
-def _gateway_groups(doc: Document, schema: SchemaDescriptor):
-    """Merged gateway groups as ordered lists of mention ids."""
-    gateways = _gateway_mentions(doc, schema)
-    ids = [m.id for m in gateways]
-    if not ids:
-        return []
-    parent = {mid: mid for mid in ids}
+def _gateway_groups(doc: Document, gateways, same_gateway):
+    """Merged gateway groups as mention id sets, by first occurrence."""
+    parent = {m.id: m.id for m in gateways}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -167,14 +182,13 @@ def _gateway_groups(doc: Document, schema: SchemaDescriptor):
         if ra != rb:
             parent[rb] = ra
 
-    gateway_ids = set(ids)
     touched = False
-    for r in _relations_of_role(doc, schema, "same_gateway"):
-        if r.source_mention_id in gateway_ids and r.target_mention_id in gateway_ids:
+    for r in same_gateway:
+        if r.source_mention_id in parent and r.target_mention_id in parent:
             union(r.source_mention_id, r.target_mention_id)
             touched = True
     for e in doc.entities:
-        members = [mid for mid in e.mention_ids if mid in gateway_ids]
+        members = [mid for mid in e.mention_ids if mid in parent]
         for a, b in zip(members, members[1:]):
             union(a, b)
         if len(members) > 1:
@@ -190,20 +204,22 @@ def _gateway_groups(doc: Document, schema: SchemaDescriptor):
             for a, b in zip(members, members[1:]):
                 union(a, b)
 
-    mmap = doc.mention_map()
     grouped: dict = {}
-    for mid in ids:
-        grouped.setdefault(find(mid), []).append(mid)
+    for m in gateways:
+        grouped.setdefault(find(m.id), []).append(m)
     groups = [
-        sorted(members, key=lambda mid: mmap[mid].token_indices[0])
+        sorted(members, key=lambda m: m.token_indices[0])
         for members in grouped.values()
     ]
-    groups.sort(key=lambda members: mmap[members[0]].token_indices[0])
-    return groups
+    groups.sort(key=lambda members: members[0].token_indices[0])
+    return [frozenset(m.id for m in members) for members in groups]
 
 
 def consolidate(doc: Document, schema: SchemaDescriptor) -> Document:
     """Attach conditions, merge gateways, complete performers."""
+    roles = _mentions_by_role(doc, schema)
+    relation_roles = _relations_by_role(doc, schema)
+    gateways = roles[GATEWAY_ROLES]
     relations = list(doc.relations)
     entities = list(doc.entities)
 
@@ -211,62 +227,42 @@ def consolidate(doc: Document, schema: SchemaDescriptor) -> Document:
     attach_type = _relation_type_for(schema, "condition_attachment")
     if attach_type is not None:
         attached = {
-            r.target_mention_id
-            for r in _relations_of_role(doc, schema, "condition_attachment")
+            r.target_mention_id for r in relation_roles["condition_attachment"]
         }
-        gateways = _gateway_mentions(doc, schema)
-        counter = 0
-        for cond in _mentions_of_role(doc, schema, "condition"):
-            if cond.id in attached:
-                continue
-            preceding = [
-                g for g in gateways
-                if g.token_indices[-1] < cond.token_indices[0]
-            ]
-            if not preceding:
-                continue
-            nearest = max(
-                preceding, key=lambda g: (g.token_indices[-1], g.token_indices[0])
-            )
+        unattached = [c for c in roles["condition"] if c.id not in attached]
+        for counter, (cond, gateway) in enumerate(
+            _left_neighbours(unattached, gateways)
+        ):
             relations.append(
-                Relation(f"r-cond-{counter}", attach_type, nearest.id, cond.id)
+                Relation(f"r-cond-{counter}", attach_type, gateway.id, cond.id)
             )
-            counter += 1
 
     # 2. gateway mentions naming one decision point become one entity
-    groups = [g for g in _gateway_groups(doc, schema) if len(g) > 1]
+    groups = [
+        g for g in _gateway_groups(doc, gateways, relation_roles["same_gateway"])
+        if len(g) > 1
+    ]
     existing = {frozenset(e.mention_ids) for e in entities}
-    gateway_ids = {m.id for m in _gateway_mentions(doc, schema)}
     counter = 0
-    for group in groups:
-        key = frozenset(group)
+    for key in groups:
         if key in existing:
             continue
-        entities = [
-            e for e in entities
-            if not (set(e.mention_ids) <= gateway_ids
-                    and set(e.mention_ids) < key)
-        ]
+        # entities strictly inside the merged group give way to it
+        entities = [e for e in entities if not set(e.mention_ids) < key]
         entities.append(Entity(f"e-gw-{counter}", key))
         counter += 1
 
     # 3. performer completion by the nearest-left rule
     perf_type = _relation_type_for(schema, "performer")
     if perf_type is not None:
-        performed = {
-            r.source_mention_id for r in _relations_of_role(doc, schema, "performer")
-        }
-        counter = 0
-        for activity in _mentions_of_role(doc, schema, "activity"):
-            if activity.id in performed:
-                continue
-            actor = nearest_left_actor(doc, schema, activity.token_indices[0])
-            if actor is None:
-                continue
+        performed = {r.source_mention_id for r in relation_roles["performer"]}
+        unperformed = [a for a in roles["activity"] if a.id not in performed]
+        for counter, (activity, actor) in enumerate(
+            _left_neighbours(unperformed, roles["actor"])
+        ):
             relations.append(
                 Relation(f"r-perf-{counter}", perf_type, activity.id, actor.id)
             )
-            counter += 1
 
     return replace(
         doc, relations=tuple(relations), entities=tuple(entities)
@@ -276,14 +272,14 @@ def consolidate(doc: Document, schema: SchemaDescriptor) -> Document:
 # ---------------------------------------------------------------------------
 # vertices
 
-def _clusters_of_role(doc: Document, schema: SchemaDescriptor, role: str):
-    """Entities of one role plus singletons, ordered by first occurrence.
+def _clusters(doc: Document, role_mentions):
+    """Entities of one role's mentions plus singletons, by first occurrence.
 
-    Returns lists of mentions; an entity belongs to the role iff all
-    its members do.
+    Returns (entity or mention id, mentions) pairs; an entity belongs
+    to the role iff all its members do.
     """
     mmap = doc.mention_map()
-    role_ids = {m.id for m in _mentions_of_role(doc, schema, role)}
+    role_ids = {m.id for m in role_mentions}
     clusters = []
     clustered: set = set()
     for e in doc.entities:
@@ -294,8 +290,8 @@ def _clusters_of_role(doc: Document, schema: SchemaDescriptor, role: str):
             )
             clusters.append((e.id, members))
             clustered |= set(e.mention_ids)
-    for m in doc.mentions:
-        if m.id in role_ids and m.id not in clustered:
+    for m in role_mentions:
+        if m.id not in clustered:
             clusters.append((m.id, [m]))
     clusters.sort(key=lambda pair: pair[1][0].token_indices[0])
     return clusters
@@ -310,11 +306,11 @@ def _longest_surface(doc: Document, members) -> str:
 def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
     """Lanes and nodes for a consolidated document."""
     ids = _Ids()
-    mmap = doc.mention_map()
+    roles = _mentions_by_role(doc, schema)
 
     lanes: list = []
     lane_of_actor_mention: dict = {}
-    for entity_id, members in _clusters_of_role(doc, schema, "actor"):
+    for entity_id, members in _clusters(doc, roles["actor"]):
         label = _longest_surface(doc, members)
         lane = Lane(ids.make("lane", label), label, actor_entity_id=entity_id)
         lanes.append(lane)
@@ -322,34 +318,25 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
             lane_of_actor_mention[m.id] = lane.id
 
     performer_of: dict = {}
-    for r in _relations_of_role(doc, schema, "performer"):
+    for r in _relations_by_role(doc, schema)["performer"]:
         performer_of.setdefault(r.source_mention_id, r.target_mention_id)
 
-    activities = _mentions_of_role(doc, schema, "activity")
-    gateway_clusters = _clusters_of_role(doc, schema, "xor_gateway")
-    gateway_clusters += _clusters_of_role(doc, schema, "and_gateway")
-    # mixed-kind merged groups appear under both roles; deduplicate
-    seen_keys: set = set()
-    merged_gateways = []
-    for key, members in sorted(
-        gateway_clusters, key=lambda pair: pair[1][0].token_indices[0]
-    ):
-        if key not in seen_keys:
-            seen_keys.add(key)
-            merged_gateways.append((key, members))
-
-    needs_unassigned = any(
-        performer_of.get(a.id) not in lane_of_actor_mention for a in activities
+    activities = roles["activity"]
+    gateways = sorted(
+        [(XOR, members) for _, members in _clusters(doc, roles["xor_gateway"])]
+        + [(AND, members) for _, members in _clusters(doc, roles["and_gateway"])],
+        key=lambda pair: pair[1][0].token_indices[0],
     )
-    gateway_lane_mention: dict = {}
-    for key, members in merged_gateways:
-        anchor = nearest_left_actor(doc, schema, members[0].token_indices[0])
-        if anchor is None:
-            needs_unassigned = True
-        else:
-            gateway_lane_mention[key] = anchor.id
-    if not lanes:
-        needs_unassigned = True
+    anchors = [
+        _nearest_left(roles["actor"], members[0].token_indices[0])
+        for _, members in gateways
+    ]
+    needs_unassigned = (
+        not lanes
+        or any(anchor is None for anchor in anchors)
+        or any(performer_of.get(a.id) not in lane_of_actor_mention
+               for a in activities)
+    )
 
     unassigned_lane = None
     if needs_unassigned:
@@ -374,10 +361,8 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
         nodes.append(node)
         mention_nodes[m.id] = node.id
 
-    for key, members in merged_gateways:
-        role = schema.mention_role_of(members[0].mention_type)
-        kind = AND if role == "and_gateway" else XOR
-        lane_id = lane_of_actor_mention.get(gateway_lane_mention.get(key))
+    for (kind, members), anchor in zip(gateways, anchors):
+        lane_id = None if anchor is None else lane_of_actor_mention.get(anchor.id)
         if lane_id is None:
             lane_id = unassigned_lane.id
         node = Node(
@@ -388,7 +373,7 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
         for m in members:
             mention_nodes[m.id] = node.id
 
-    for key, members in _clusters_of_role(doc, schema, "data"):
+    for _, members in _clusters(doc, roles["data"]):
         label = _longest_surface(doc, members)
         node = Node(ids.make("data", label), DATA, label, None)
         nodes.append(node)
@@ -422,17 +407,17 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
     node_by_id = {n.id: n for n in graph.nodes}
     warnings: list = []
 
-    condition_ids = {m.id for m in _mentions_of_role(doc, schema, "condition")}
+    condition_ids = {m.id for m in _mentions_by_role(doc, schema)["condition"]}
+    relation_roles = _relations_by_role(doc, schema)
     attachment: dict = {}
-    for r in _relations_of_role(doc, schema, "condition_attachment"):
+    for r in relation_roles["condition_attachment"]:
         if r.target_mention_id in condition_ids:
             attachment.setdefault(r.target_mention_id, r.source_mention_id)
 
-    flow_rels = _relations_of_role(doc, schema, "flow")
     into_condition: dict = {}
     out_of_condition: dict = {}
     plain: list = []
-    for r in flow_rels:
+    for r in relation_roles["flow"]:
         src_is_cond = r.source_mention_id in condition_ids
         tgt_is_cond = r.target_mention_id in condition_ids
         if tgt_is_cond and not src_is_cond:
@@ -500,27 +485,25 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
     # data associations, with label composition
     associations: list = []
     relabel: dict = {}
-    uses_type_exists = _relation_type_for(schema, "uses") is not None
-    if uses_type_exists:
-        for r in _relations_of_role(doc, schema, "uses"):
-            task_node = mention_nodes.get(r.source_mention_id)
-            data_node = data_nodes.get(r.target_mention_id)
-            if task_node is None or data_node is None:
-                warnings.append(
-                    f"skipped link {r.id}: not an activity-to-data pair"
-                )
-                continue
-            associations.append(
-                DataAssociation(
-                    ids.make("assoc", task_node, data_node),
-                    data_object=data_node, task=task_node, direction="input",
-                )
+    for r in relation_roles["uses"]:
+        task_node = mention_nodes.get(r.source_mention_id)
+        data_node = data_nodes.get(r.target_mention_id)
+        if task_node is None or data_node is None:
+            warnings.append(
+                f"skipped link {r.id}: not an activity-to-data pair"
             )
-            task = node_by_id[task_node]
-            data_label = node_by_id[data_node].label
-            current = relabel.get(task_node, task.label)
-            if data_label.casefold() not in current.casefold():
-                relabel[task_node] = f"{current} {data_label}"
+            continue
+        associations.append(
+            DataAssociation(
+                ids.make("assoc", task_node, data_node),
+                data_object=data_node, task=task_node, direction="input",
+            )
+        )
+        task = node_by_id[task_node]
+        data_label = node_by_id[data_node].label
+        current = relabel.get(task_node, task.label)
+        if data_label.casefold() not in current.casefold():
+            relabel[task_node] = f"{current} {data_label}"
 
     nodes = tuple(
         n if n.id not in relabel else replace(n, label=relabel[n.id])
@@ -632,19 +615,16 @@ def _topological_order(graph: ProcessGraph):
             successors[f.source].append(f.target)
             incoming[f.target] += 1
     creation_rank = {nid: i for i, nid in enumerate(flow_nodes)}
-    ready = sorted(
-        (nid for nid in flow_nodes if incoming[nid] == 0), key=creation_rank.get
-    )
+    ready = [creation_rank[nid] for nid in flow_nodes if incoming[nid] == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        nid = ready.pop(0)
+        nid = flow_nodes[heapq.heappop(ready)]
         order.append(nid)
-        freshly = []
         for succ in successors[nid]:
             incoming[succ] -= 1
             if incoming[succ] == 0:
-                freshly.append(succ)
-        ready = sorted(ready + freshly, key=creation_rank.get)
+                heapq.heappush(ready, creation_rank[succ])
     if len(order) != len(flow_nodes):
         return None
     return order

@@ -304,36 +304,54 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _read_predictions(path):
+    """Yield ("<path>:<line>", record, parsed items) per predictions record.
+
+    A line that is not a JSON object with a document_id and a list of
+    well-formed item objects raises LoadError naming the line.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{line_no}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LoadError(f"{where}: not valid JSON ({exc.msg})") from exc
+            if not (isinstance(record, dict) and "document_id" in record
+                    and isinstance(record.get("items"), list)):
+                raise LoadError(f"{where}: not an object with a document_id "
+                                "and a list of items")
+            if not all(isinstance(item, dict) for item in record["items"]):
+                raise LoadError(f"{where}: an item is not a JSON object")
+            try:
+                items = tuple(item_from_record(item) for item in record["items"])
+            except KeyError as exc:
+                raise LoadError(f"{where}: an item has no {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise LoadError(f"{where}: {exc}") from exc
+            yield where, record, items
+
+
 def cmd_evaluate(args) -> int:
     dataset = _load_dataset(args)
     task = _check_task(dataset, args.task)
     predictions: dict = {}
-    with open(args.predictions, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LoadError(
-                    f"{args.predictions}:{line_no}: not valid JSON ({exc.msg})"
-                ) from exc
-            if record.get("task") != task:
-                raise ValidationError(
-                    f"{args.predictions}:{line_no}: record for task "
-                    f"{record.get('task')!r}, expected {task!r}"
-                )
-            doc = dataset.document(record["document_id"])
-            if doc.id in predictions:
-                raise ValidationError(
-                    f"{args.predictions}:{line_no}: second record for "
-                    f"document {doc.id!r}"
-                )
-            items = tuple(item_from_record(r) for r in record["items"])
-            predictions[doc.id] = _predictions_for(
-                task, ParseReport(items, error_lines=(), ignored_line_count=0),
-                doc,
+    for where, record, items in _read_predictions(args.predictions):
+        if record.get("task") != task:
+            raise ValidationError(
+                f"{where}: record for task {record.get('task')!r}, "
+                f"expected {task!r}"
             )
+        doc = dataset.document(record["document_id"])
+        if doc.id in predictions:
+            raise ValidationError(
+                f"{where}: second record for document {doc.id!r}"
+            )
+        predictions[doc.id] = _predictions_for(
+            task, ParseReport(items, error_lines=(), ignored_line_count=0), doc,
+        )
     # documents missing from the file count as predicting nothing
     total, per_doc = score_dataset(dataset, task, predictions)
     print(
@@ -390,17 +408,12 @@ def cmd_ablate(args) -> int:
 
 def _doc_from_predictions(doc, schema, paths):
     """Swap a document's annotations for predicted ones."""
-    records = []
+    items = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record.get("document_id") == doc.id:
-                    records.extend(record.get("items", []))
-    report = ParseReport(items=tuple(item_from_record(r) for r in records),
-                         error_lines=(), ignored_line_count=0)
+        for _, record, parsed in _read_predictions(path):
+            if record["document_id"] == doc.id:
+                items.extend(parsed)
+    report = ParseReport(items=tuple(items), error_lines=(), ignored_line_count=0)
 
     grounded, ungrounded = ground_report(report, doc)
     for item in ungrounded:

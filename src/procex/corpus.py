@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -124,18 +125,42 @@ class SchemaDescriptor:
     def __hash__(self):
         return hash(self.dataset_name)
 
+    @cached_property
+    def _names(self) -> dict[tuple[str, str], str]:
+        """(kind, normalized name) -> declared type, or role for role kinds.
+
+        Built once per instance from its own fields; when two names
+        normalize alike, the first declaration wins.
+        """
+        table: dict = {}
+        for kind, declared in (
+            # an inventory name resolves to itself
+            ("mention", {name: (name,) for name in self.mention_types}),
+            ("relation", {name: (name,) for name in self.relation_types}),
+            ("constraint", {name: (name,) for name in self.constraint_types}),
+            ("unary", {name: (name,) for name in self.unary_constraint_types}),
+            ("mention role", self.mention_roles),
+            ("relation role", self.relation_roles),
+        ):
+            for value, names in declared.items():
+                for name in names:
+                    table.setdefault((kind, normalize_type_name(name)), value)
+        return table
+
+    def _resolve(self, kind: str, name: str) -> str | None:
+        return self._names.get((kind, normalize_type_name(name)))
+
     def canonical_mention_type(self, name: str) -> str | None:
-        return self._lookup(self.mention_types, name)
+        return self._resolve("mention", name)
 
     def canonical_relation_type(self, name: str) -> str | None:
-        return self._lookup(self.relation_types, name)
+        return self._resolve("relation", name)
 
     def canonical_constraint_type(self, name: str) -> str | None:
-        return self._lookup(self.constraint_types, name)
+        return self._resolve("constraint", name)
 
     def is_unary(self, constraint_type: str) -> bool:
-        key = normalize_type_name(constraint_type)
-        return any(normalize_type_name(u) == key for u in self.unary_constraint_types)
+        return self._resolve("unary", constraint_type) is not None
 
     def types_for_task(self, task: str) -> tuple[str, ...]:
         if task in ("MD", "ER"):
@@ -146,31 +171,11 @@ class SchemaDescriptor:
             return self.constraint_types
         raise ValueError(f"unknown task {task!r}")
 
-    def role_types(self, kind: str, role: str) -> tuple[str, ...]:
-        roles = self.mention_roles if kind == "mention" else self.relation_roles
-        return tuple(roles.get(role, ()))
-
     def mention_role_of(self, type_name: str) -> str | None:
-        key = normalize_type_name(type_name)
-        for role, names in self.mention_roles.items():
-            if any(normalize_type_name(n) == key for n in names):
-                return role
-        return None
+        return self._resolve("mention role", type_name)
 
     def relation_role_of(self, type_name: str) -> str | None:
-        key = normalize_type_name(type_name)
-        for role, names in self.relation_roles.items():
-            if any(normalize_type_name(n) == key for n in names):
-                return role
-        return None
-
-    @staticmethod
-    def _lookup(inventory: tuple[str, ...], name: str) -> str | None:
-        key = normalize_type_name(name)
-        for canonical in inventory:
-            if normalize_type_name(canonical) == key:
-                return canonical
-        return None
+        return self._resolve("relation role", type_name)
 
     def validate(self) -> list[str]:
         problems = []

@@ -9,6 +9,7 @@ gap on "sent back" (no performer) pulls that task into the customer
 lane via the nearest-left rule.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -534,3 +535,57 @@ def test_whole_corpus_compiles_and_validates(pet_schema):
         reread = parse_bpmn(text)
         assert reread.graph == g, doc.id
         assert serialize_bpmn(reread) == text, doc.id
+
+
+def test_gateway_node_survives_entity_id_equal_to_mention_id(pet_schema):
+    # entity ids and mention ids are separate namespaces: an AND gateway
+    # mention named like the XOR gateways' entity is a gateway of its own
+    doc = make_doc(
+        "syn-ids",
+        ["Either ship or cancel .", "Meanwhile , in parallel , log it ."],
+        [
+            ("g1", "XOR Gateway", (0,)),
+            ("g2", "XOR Gateway", (2,)),
+            ("e0", "AND Gateway", (7, 8)),
+        ],
+        entities=[("e0", ("g1", "g2"))],
+    )
+    assert corpus.validate(doc, pet_schema) == []
+    g = compile_document(doc, pet_schema)
+    gateways = sorted((n.kind, n.label) for n in g.nodes if n.kind in (XOR, AND))
+    assert gateways == [(AND, "in parallel"), (XOR, "Either")]
+    assert validate_graph(g) == []
+
+
+def test_compile_cost_grows_linearly(pet_schema, monkeypatch):
+    from test_parser import concatenated
+
+    pet = corpus.load_pet(DATA_DIR / "pet.jsonl")
+    calls = [0]
+    normalize = corpus.normalize_type_name
+
+    def counted(name):
+        calls[0] += 1
+        return normalize(name)
+
+    monkeypatch.setattr(corpus, "normalize_type_name", counted)
+    counts = []
+    for k in (1, 2):
+        doc = concatenated(pet.documents, k)
+        calls[0] = 0
+        compile_document(doc, pet_schema)
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+# sha256 over the serialized BPMN of every PET document, then doc-3.3,
+# recorded before the role lookups were reworked
+BPMN_DIGEST = "2897b10a2b4390fe85fcf4c86fca5eede20c2a09be50ba7073fcd179dec9251a"
+
+
+def test_bpmn_bytes_unchanged(pet_schema, doc33):
+    digest = hashlib.sha256()
+    for doc in corpus.load_pet(DATA_DIR / "pet.jsonl").documents + (doc33,):
+        xml = serialize_bpmn(layout(compile_document(doc, pet_schema)))
+        digest.update(xml.encode("utf-8"))
+    assert digest.hexdigest() == BPMN_DIGEST

@@ -390,3 +390,48 @@ def test_cache_list_and_purge(pet, capsys, tmp_path):
     assert main(["cache", "purge", "--cache", str(cache)]) == 0
     assert f"removed {entry_count}" in capsys.readouterr().out
     assert list(cache.glob("*.json")) == []
+
+
+# ---------------------------------------------------------------------------
+# malformed predictions files
+
+MALFORMED_RECORDS = {
+    "invalid-json": "{not json",
+    "not-an-object": "[1, 2]",
+    "item-not-an-object": '{"document_id": "DOC", "task": "MD", "items": [5]}',
+    "item-missing-key": ('{"document_id": "DOC", "task": "MD", '
+                         '"items": [{"kind": "mention", "surface": "x"}]}'),
+    "record-missing-key": '{"task": "MD", "items": []}',
+}
+
+
+def write_malformed(tmp_path, good_id, bad_id, case):
+    path = tmp_path / "pred.jsonl"
+    good = json.dumps({"document_id": good_id, "task": "MD", "items": []})
+    bad = MALFORMED_RECORDS[case].replace("DOC", bad_id)
+    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    return path
+
+
+def assert_one_data_error(capsys, code, path):
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: data: {path}:2: "), err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_evaluate_malformed_predictions_is_data_error(case, capsys, tmp_path):
+    path = write_malformed(tmp_path, "doc-1.1", "doc-1.2", case)
+    code = main(["evaluate", "--dataset", str(DATA / "pet.jsonl"),
+                 "--task", "MD", "--predictions", str(path)])
+    assert_one_data_error(capsys, code, path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_generate_bpmn_malformed_predictions_is_data_error(case, capsys,
+                                                           tmp_path):
+    path = write_malformed(tmp_path, "doc-3.3", "doc-3.3", case)
+    code = main(["generate-bpmn", "--in", str(DATA / "fixtures" / "doc33.json"),
+                 "--predictions", str(path), "--out", str(tmp_path / "x.bpmn")])
+    assert_one_data_error(capsys, code, path)

@@ -1,5 +1,6 @@
 """Tests for the corpus data model, loaders, and canonical format."""
 
+import dataclasses
 import json
 
 import pytest
@@ -322,3 +323,60 @@ def test_bio_identity_on_document_tags(doc):
         [Mention(f"x{i}", t, span) for i, (t, span) in enumerate(decoded)],
         len(doc.tokens),
     ) == tags
+
+
+# ---------------------------------------------------------------------------
+# schema name resolution
+
+def test_schema_names_resolve_case_and_separator_insensitively():
+    schema = corpus.SchemaDescriptor(
+        dataset_name="names",
+        mention_types=("Activity Data", "XOR Gateway"),
+        relation_types=("actor performer",),
+        constraint_types=("init", "response"),
+        unary_constraint_types=frozenset({"init"}),
+        mention_roles={"data": ("Activity Data",)},
+        relation_roles={"performer": ("actor performer",)},
+    )
+    assert schema.canonical_mention_type("activity_data") == "Activity Data"
+    assert schema.canonical_mention_type("  xor \t  GATEWAY ") == "XOR Gateway"
+    assert schema.canonical_relation_type("Actor_Performer") == "actor performer"
+    assert schema.canonical_constraint_type("RESPONSE") == "response"
+    assert schema.mention_role_of("ACTIVITY_data") == "data"
+    assert schema.relation_role_of("actor  Performer") == "performer"
+    assert schema.is_unary("INIT") and not schema.is_unary("response")
+    # each kind resolves against its own inventory only
+    assert schema.canonical_relation_type("XOR Gateway") is None
+    assert schema.canonical_mention_type("unknown") is None
+    assert schema.canonical_constraint_type("Activity Data") is None
+    assert schema.mention_role_of("XOR Gateway") is None
+    assert schema.relation_role_of("flow") is None
+    assert not schema.is_unary("unknown")
+
+
+def test_schema_names_first_declaration_wins():
+    schema = corpus.SchemaDescriptor(
+        dataset_name="dupes",
+        mention_types=("Actor", "actor"),
+        relation_types=("flow", "FLOW"),
+        mention_roles={"actor": ("Actor",), "agent": ("actor", "Agent")},
+        relation_roles={"flow": ("flow",), "sequence": ("Flow",)},
+    )
+    assert schema.canonical_mention_type("ACTOR") == "Actor"
+    assert schema.canonical_relation_type("Flow") == "flow"
+    assert schema.mention_role_of("actor") == "actor"
+    assert schema.mention_role_of("agent") == "agent"
+    assert schema.relation_role_of("FLOW") == "flow"
+
+
+def test_schema_copy_resolves_against_its_own_fields():
+    schema = corpus.load_schema("pet")
+    assert schema.canonical_mention_type("actor") == "Actor"
+    narrowed = dataclasses.replace(schema, mention_types=("Activity",),
+                                   mention_roles={"actor": ("Activity",)})
+    assert narrowed.canonical_mention_type("actor") is None
+    assert narrowed.canonical_mention_type("activity") == "Activity"
+    assert narrowed.mention_role_of("Activity") == "actor"
+    # the parent keeps its own table
+    assert schema.canonical_mention_type("actor") == "Actor"
+    assert schema.mention_role_of("Activity") == "activity"
