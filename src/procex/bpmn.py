@@ -18,7 +18,6 @@ import heapq
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from xml.sax.saxutils import escape, quoteattr
 
 from .corpus import Document, Entity, Relation, SchemaDescriptor
 
@@ -167,8 +166,14 @@ def nearest_left_actor(doc: Document, schema: SchemaDescriptor, token_index: int
 # ---------------------------------------------------------------------------
 # consolidation
 
-def _gateway_groups(doc: Document, gateways, same_gateway):
-    """Merged gateway groups as mention id sets, by first occurrence."""
+def _gateway_groups(doc: Document, roles, same_gateway):
+    """Merged gateway groups as mention id sets, by first occurrence.
+
+    Only mentions of one gateway role merge, because build_vertices
+    makes one node of one kind per group.
+    """
+    gateways = roles[GATEWAY_ROLES]
+    role_of = {m.id: role for role in GATEWAY_ROLES for m in roles[role]}
     parent = {m.id: m.id for m in gateways}
 
     def find(x: str) -> str:
@@ -177,20 +182,22 @@ def _gateway_groups(doc: Document, gateways, same_gateway):
             x = parent[x]
         return x
 
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+    def union_by_role(ids) -> None:
+        first: dict = {}
+        for mid in ids:
+            ra, rb = find(first.setdefault(role_of[mid], mid)), find(mid)
+            if ra != rb:
+                parent[rb] = ra
 
     touched = False
     for r in same_gateway:
-        if r.source_mention_id in parent and r.target_mention_id in parent:
-            union(r.source_mention_id, r.target_mention_id)
+        pair = (r.source_mention_id, r.target_mention_id)
+        if all(mid in parent for mid in pair):
+            union_by_role(pair)
             touched = True
     for e in doc.entities:
         members = [mid for mid in e.mention_ids if mid in parent]
-        for a, b in zip(members, members[1:]):
-            union(a, b)
+        union_by_role(members)
         if len(members) > 1:
             touched = True
     if not touched:
@@ -201,8 +208,7 @@ def _gateway_groups(doc: Document, gateways, same_gateway):
             sent = doc.tokens[m.token_indices[0]].sentence_index
             by_sentence.setdefault(sent, []).append(m.id)
         for members in by_sentence.values():
-            for a, b in zip(members, members[1:]):
-                union(a, b)
+            union_by_role(members)
 
     grouped: dict = {}
     for m in gateways:
@@ -239,7 +245,7 @@ def consolidate(doc: Document, schema: SchemaDescriptor) -> Document:
 
     # 2. gateway mentions naming one decision point become one entity
     groups = [
-        g for g in _gateway_groups(doc, gateways, relation_roles["same_gateway"])
+        g for g in _gateway_groups(doc, roles, relation_roles["same_gateway"])
         if len(g) > 1
     ]
     existing = {frozenset(e.mention_ids) for e in entities}
@@ -680,6 +686,23 @@ _KIND_TAGS = {
 }
 
 
+# The two helpers give xml.sax.saxutils.escape and quoteattr's output byte
+# for byte; saxutils itself imports urllib, http and ssl.
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _quoteattr(text: str) -> str:
+    text = (_escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
+            .replace("\t", "&#9;"))
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def serialize_bpmn(model: LayoutedModel) -> str:
     graph = model.graph
     out: list = []
@@ -694,8 +717,8 @@ def serialize_bpmn(model: LayoutedModel) -> str:
     push('    <bpmn:participant id="pool_1" processRef="process_1"/>\n')
     for f in graph.message_flows:
         push(
-            f'    <bpmn:messageFlow id={quoteattr(f.id)} '
-            f'sourceRef={quoteattr(f.source)} targetRef={quoteattr(f.target)}/>\n'
+            f'    <bpmn:messageFlow id={_quoteattr(f.id)} '
+            f'sourceRef={_quoteattr(f.source)} targetRef={_quoteattr(f.target)}/>\n'
         )
     push('  </bpmn:collaboration>\n')
     push('  <bpmn:process id="process_1">\n')
@@ -705,9 +728,9 @@ def serialize_bpmn(model: LayoutedModel) -> str:
         if n.kind != DATA and n.lane_id is not None:
             members.setdefault(n.lane_id, []).append(n.id)
     for lane in graph.lanes:
-        push(f'      <bpmn:lane id={quoteattr(lane.id)} name={quoteattr(lane.label)}>\n')
+        push(f'      <bpmn:lane id={_quoteattr(lane.id)} name={_quoteattr(lane.label)}>\n')
         for nid in members.get(lane.id, []):
-            push(f'        <bpmn:flowNodeRef>{escape(nid)}</bpmn:flowNodeRef>\n')
+            push(f'        <bpmn:flowNodeRef>{_escape(nid)}</bpmn:flowNodeRef>\n')
         push('      </bpmn:lane>\n')
     push('    </bpmn:laneSet>\n')
 
@@ -717,40 +740,40 @@ def serialize_bpmn(model: LayoutedModel) -> str:
     for n in graph.nodes:
         if n.kind == DATA:
             push(
-                f'    <bpmn:dataObjectReference id={quoteattr(n.id)} '
-                f'name={quoteattr(n.label)} dataObjectRef={quoteattr("obj_" + n.id)}/>\n'
+                f'    <bpmn:dataObjectReference id={_quoteattr(n.id)} '
+                f'name={_quoteattr(n.label)} dataObjectRef={_quoteattr("obj_" + n.id)}/>\n'
             )
-            push(f'    <bpmn:dataObject id={quoteattr("obj_" + n.id)}/>\n')
+            push(f'    <bpmn:dataObject id={_quoteattr("obj_" + n.id)}/>\n')
             continue
         tag = _KIND_TAGS[n.kind]
-        name_attr = f" name={quoteattr(n.label)}" if n.label else ""
+        name_attr = f" name={_quoteattr(n.label)}" if n.label else ""
         associations = assoc_by_task.get(n.id, [])
         if not associations:
-            push(f'    <bpmn:{tag} id={quoteattr(n.id)}{name_attr}/>\n')
+            push(f'    <bpmn:{tag} id={_quoteattr(n.id)}{name_attr}/>\n')
         else:
-            push(f'    <bpmn:{tag} id={quoteattr(n.id)}{name_attr}>\n')
+            push(f'    <bpmn:{tag} id={_quoteattr(n.id)}{name_attr}>\n')
             for a in associations:
                 if a.direction == "input":
                     push(
-                        f'      <bpmn:dataInputAssociation id={quoteattr(a.id)}>\n'
-                        f'        <bpmn:sourceRef>{escape(a.data_object)}</bpmn:sourceRef>\n'
+                        f'      <bpmn:dataInputAssociation id={_quoteattr(a.id)}>\n'
+                        f'        <bpmn:sourceRef>{_escape(a.data_object)}</bpmn:sourceRef>\n'
                         '      </bpmn:dataInputAssociation>\n'
                     )
                 else:
                     push(
-                        f'      <bpmn:dataOutputAssociation id={quoteattr(a.id)}>\n'
-                        f'        <bpmn:targetRef>{escape(a.data_object)}</bpmn:targetRef>\n'
+                        f'      <bpmn:dataOutputAssociation id={_quoteattr(a.id)}>\n'
+                        f'        <bpmn:targetRef>{_escape(a.data_object)}</bpmn:targetRef>\n'
                         '      </bpmn:dataOutputAssociation>\n'
                     )
             push(f'    </bpmn:{tag}>\n')
     for f in graph.sequence_flows:
         label = (
-            f' name={quoteattr(f.condition_label)}'
+            f' name={_quoteattr(f.condition_label)}'
             if f.condition_label is not None else ""
         )
         push(
-            f'    <bpmn:sequenceFlow id={quoteattr(f.id)} '
-            f'sourceRef={quoteattr(f.source)} targetRef={quoteattr(f.target)}{label}/>\n'
+            f'    <bpmn:sequenceFlow id={_quoteattr(f.id)} '
+            f'sourceRef={_quoteattr(f.source)} targetRef={_quoteattr(f.target)}{label}/>\n'
         )
     push('  </bpmn:process>\n')
 
@@ -773,16 +796,16 @@ def serialize_bpmn(model: LayoutedModel) -> str:
     for lane in graph.lanes:
         lx, ly, lw, lh = model.lane_extents[lane.id]
         push(
-            f'      <bpmndi:BPMNShape id={quoteattr("shape_" + lane.id)} '
-            f'bpmnElement={quoteattr(lane.id)} isHorizontal="true">\n'
+            f'      <bpmndi:BPMNShape id={_quoteattr("shape_" + lane.id)} '
+            f'bpmnElement={_quoteattr(lane.id)} isHorizontal="true">\n'
             f'        <dc:Bounds x="{lx}" y="{ly}" width="{lw}" height="{lh}"/>\n'
             '      </bpmndi:BPMNShape>\n'
         )
     for n in graph.nodes:
         nx, ny, nw, nh = model.positions[n.id]
         push(
-            f'      <bpmndi:BPMNShape id={quoteattr("shape_" + n.id)} '
-            f'bpmnElement={quoteattr(n.id)}>\n'
+            f'      <bpmndi:BPMNShape id={_quoteattr("shape_" + n.id)} '
+            f'bpmnElement={_quoteattr(n.id)}>\n'
             f'        <dc:Bounds x="{nx}" y="{ny}" width="{nw}" height="{nh}"/>\n'
             '      </bpmndi:BPMNShape>\n'
         )

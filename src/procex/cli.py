@@ -21,12 +21,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bpmn import (
-    compile_document,
-    layout,
-    serialize_bpmn,
-    validate_graph,
-)
 from .corpus import (
     Dataset,
     LoadError,
@@ -461,6 +455,9 @@ def _doc_from_predictions(doc, schema, paths):
 
 
 def cmd_generate_bpmn(args) -> int:
+    # only this command needs the BPMN compiler
+    from .bpmn import compile_document, layout, serialize_bpmn, validate_graph
+
     dataset = _sniff_dataset(args.infile)
     if args.doc is not None:
         doc = dataset.document(args.doc)

@@ -16,11 +16,10 @@ import os
 import re
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
+from .corpus import LoadError
 
 ENV_API_KEY = "PROCEX_API_KEY"
 ENV_ENDPOINT = "PROCEX_ENDPOINT"
@@ -59,6 +58,10 @@ class ChatResponse:
     retrieved_from_cache: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise TypeError(
+                f"response text must be a string, not {type(self.text).__name__}"
+            )
         if self.input_token_count < 0 or self.output_token_count < 0:
             raise ValueError("token counts must be >= 0")
 
@@ -117,7 +120,8 @@ class HttpProvider:
     """Chat-completions POST against any compatible endpoint.
 
     top_p is deliberately omitted from the payload; temperature alone
-    controls sampling.
+    controls sampling. ``requests`` is imported here, on first use,
+    because only record mode builds a live provider.
     """
 
     def __init__(self, endpoint: str, api_key: str, *,
@@ -132,7 +136,10 @@ class HttpProvider:
         self.auth_header = auth_header
         self.auth_prefix = auth_prefix
         self.timeout = timeout
-        self.session = session if session is not None else requests.Session()
+        if session is None:
+            import requests
+            session = requests.Session()
+        self.session = session
 
     @classmethod
     def from_env(cls, **kw) -> "HttpProvider":
@@ -151,6 +158,8 @@ class HttpProvider:
         return body
 
     def __call__(self, request: ChatRequest) -> ChatResponse:
+        import requests
+
         headers = {}
         if self.api_key:
             headers[self.auth_header] = self.auth_prefix + self.api_key
@@ -215,15 +224,19 @@ class CachingClient:
         return self.cache_dir / f"{digest}.json"
 
     def _load(self, path: Path) -> ChatResponse:
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        stored = entry["response"]
-        return ChatResponse(
-            text=stored["text"],
-            input_token_count=stored["input_token_count"],
-            output_token_count=stored["output_token_count"],
-            provider_name=stored["provider_name"],
-            retrieved_from_cache=True,
-        )
+        try:
+            stored = json.loads(path.read_text(encoding="utf-8"))["response"]
+            return ChatResponse(
+                text=stored["text"],
+                input_token_count=stored["input_token_count"],
+                output_token_count=stored["output_token_count"],
+                provider_name=stored["provider_name"],
+                retrieved_from_cache=True,
+            )
+        except KeyError as exc:
+            raise LoadError(f"{path}: cache entry has no {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise LoadError(f"{path}: {exc}") from exc
 
     def _store(self, path: Path, request: ChatRequest, response: ChatResponse) -> None:
         entry = {
@@ -241,8 +254,11 @@ class CachingClient:
             },
         }
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        # unique per write: concurrent writers never share a temp file
-        tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
+        # unique per process and thread, and a thread writes one entry at a
+        # time: concurrent writers never share a temp file
+        tmp = path.with_name(
+            f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
         tmp.write_text(
             json.dumps(entry, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
             encoding="utf-8",

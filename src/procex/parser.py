@@ -313,18 +313,41 @@ def item_to_record(item) -> dict:
     raise TypeError(f"not a parsed item: {item!r}")
 
 
+def _field(record: dict, name: str, kind: type):
+    value = record[name]
+    if not isinstance(value, kind):
+        raise TypeError(f"{record['kind']} item field {name!r} is "
+                        f"{type(value).__name__}, not {kind.__name__}")
+    return value
+
+
+def _strings(record: dict, name: str) -> tuple:
+    values = tuple(_field(record, name, list))
+    if not all(isinstance(v, str) for v in values):
+        raise TypeError(f"{record['kind']} item field {name!r} holds a non-string")
+    return values
+
+
 def item_from_record(record: dict):
-    """Inverse of item_to_record, for reloading persisted predictions."""
+    """Inverse of item_to_record, for reloading persisted predictions.
+
+    A missing field raises KeyError, a field of the wrong JSON type
+    TypeError.
+    """
     kind = record.get("kind")
     if kind == "mention":
-        return ParsedMention(record["type"], record["surface"])
+        return ParsedMention(_field(record, "type", str), _field(record, "surface", str))
     if kind == "cluster":
-        return ParsedCluster(tuple(record["surfaces"]))
+        return ParsedCluster(_strings(record, "surfaces"))
     if kind == "relation":
-        return ParsedRelation(record["type"], record["source"], record["target"])
+        return ParsedRelation(
+            _field(record, "type", str), _field(record, "source", str),
+            _field(record, "target", str),
+        )
     if kind == "constraint":
         return ParsedConstraint(
-            record["type"], bool(record["negated"]), tuple(record["actions"])
+            _field(record, "type", str), _field(record, "negated", bool),
+            _strings(record, "actions"),
         )
     raise ValueError(f"unknown item kind {kind!r}")
 

@@ -11,8 +11,11 @@ lane via the nearest-left rule.
 
 import hashlib
 from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from procex import corpus
 from procex.bpmn import (
@@ -27,6 +30,8 @@ from procex.bpmn import (
     Node,
     ProcessGraph,
     SequenceFlow,
+    _escape,
+    _quoteattr,
     build_vertices,
     compile_document,
     consolidate,
@@ -166,6 +171,22 @@ def test_consolidate_same_sentence_fallback_disabled_by_explicit_links(pet_schem
     out = consolidate(doc, pet_schema)
     groups = sorted(sorted(e.mention_ids) for e in out.entities)
     assert groups == [["g1", "g2"]]
+
+
+def test_consolidate_never_merges_an_xor_with_an_and_gateway(pet_schema):
+    doc = make_doc(
+        "syn-gw3",
+        ["Either ship or pack and label ."],
+        [
+            ("g1", "XOR Gateway", (0,)),
+            ("g2", "AND Gateway", (4,)),
+        ],
+    )
+    out = consolidate(doc, pet_schema)
+    assert out.entities == ()
+    kinds = sorted(n.kind for n in build_vertices(out, pet_schema).nodes
+                   if n.kind in (XOR, AND))
+    assert kinds == sorted([XOR, AND])
 
 
 def test_consolidate_completes_missing_performer(pet_schema):
@@ -589,3 +610,20 @@ def test_bpmn_bytes_unchanged(pet_schema, doc33):
         xml = serialize_bpmn(layout(compile_document(doc, pet_schema)))
         digest.update(xml.encode("utf-8"))
     assert digest.hexdigest() == BPMN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# escaping
+
+XML_SPECIALS = st.sampled_from(list("&<>\"'\n\r\t") + ["é", "ß", "→", "日本"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(XML_SPECIALS, st.text(max_size=5))).map("".join))
+@example('say "hi"')
+@example("it's")
+@example("both \" and ' &<>\n\r\t é")
+def test_escaping_matches_saxutils(text):
+    assert _escape(text) == escape(text)
+    assert _quoteattr(text) == quoteattr(text)
+

@@ -5,10 +5,14 @@ echoing stub, then drive the CLI in replay mode against it.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import procex
 from procex import corpus, pipeline
 from procex.bpmn import parse_bpmn
 from procex.cli import main
@@ -115,6 +119,54 @@ def test_replay_miss_is_provider_error(capsys, tmp_path):
                  "--cache", str(tmp_path / "empty")])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: provider:")
+
+
+def test_cli_import_loads_no_network_or_bpmn_code():
+    # replay, evaluate and cache commands never reach the network, and
+    # only generate-bpmn compiles BPMN; xml.sax imports urllib.request
+    probe = ("import sys, procex.cli; print(' '.join(sorted(m for m in "
+             "('requests', 'urllib.request', 'xml.sax', 'procex.bpmn') "
+             "if m in sys.modules)))")
+    src = str(Path(procex.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src},
+                            check=True)
+    assert result.stdout.strip() == ""
+
+
+def record_one_entry(pet, cache_dir):
+    """Record the MD zero-shot entry of doc-1.1; return its path."""
+    client = CachingClient(cache_dir, gold_echo(pet), mode="record")
+    config = PromptConfig(task="MD", schema=pet.schema)
+    extract_document(pet.document("doc-1.1"), config, client,
+                     shot_pool=pet.documents)
+    (path,) = cache_dir.glob("*.json")
+    return path
+
+
+def truncate_entry(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+
+
+def set_entry_text_to_a_number(path):
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["response"]["text"] = 5
+    path.write_text(json.dumps(entry), encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [truncate_entry, set_entry_text_to_a_number])
+def test_damaged_cache_entry_is_data_error_naming_it(damage, pet, capsys,
+                                                     tmp_path):
+    path = record_one_entry(pet, tmp_path / "c")
+    damage(path)
+    code = main(["extract", "--dataset", str(DATA / "pet.jsonl"),
+                 "--task", "MD", "--doc", "doc-1.1", "--mode", "replay",
+                 "--cache", str(tmp_path / "c")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: data: {path}: "), err
 
 
 def test_record_without_endpoint_is_provider_error(capsys, tmp_path):
@@ -402,6 +454,11 @@ MALFORMED_RECORDS = {
     "item-missing-key": ('{"document_id": "DOC", "task": "MD", '
                          '"items": [{"kind": "mention", "surface": "x"}]}'),
     "record-missing-key": '{"task": "MD", "items": []}',
+    "item-field-not-a-string": ('{"document_id": "DOC", "task": "MD", "items": '
+                                '[{"kind": "mention", "type": "Actor", '
+                                '"surface": 5}]}'),
+    "item-list-holds-a-number": ('{"document_id": "DOC", "task": "MD", "items": '
+                                 '[{"kind": "cluster", "surfaces": ["x", 5]}]}'),
 }
 
 

@@ -5,6 +5,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import requests
 
 from procex.llm import (
     CachingClient,
@@ -313,6 +314,27 @@ def test_http_provider_transient_and_fatal_errors():
     assert not isinstance(err.value, TransientProviderError)
 
 
+def test_http_provider_request_exception_is_transient():
+    class FailingSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            raise requests.ConnectionError("connection refused")
+
+    provider = HttpProvider("https://x", "k", session=FailingSession())
+    with pytest.raises(TransientProviderError) as err:
+        provider(make_request())
+    assert "connection refused" in str(err.value)
+
+
+def test_http_provider_null_content_is_provider_error():
+    provider = HttpProvider(
+        "https://x", "k", session=FakeSession(FakeReply(body=ok_body(text=None)))
+    )
+    with pytest.raises(ProviderError) as err:
+        provider(make_request())
+    assert not isinstance(err.value, TransientProviderError)
+    assert "malformed" in str(err.value)
+
+
 def test_http_provider_malformed_payload():
     provider = HttpProvider(
         "https://x", "k", session=FakeSession(FakeReply(body={"weird": True}))
@@ -327,3 +349,5 @@ def test_request_validation():
         ChatRequest("m", "p", temperature=-1.0)
     with pytest.raises(ValueError):
         ChatResponse("t", -1, 0, "p")
+    with pytest.raises(TypeError):
+        ChatResponse(None, 0, 0, "p")
