@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
@@ -131,36 +132,45 @@ def _relation_type_for(schema: SchemaDescriptor, role: str) -> str | None:
     return next(iter(schema.relation_roles.get(role, ())), None)
 
 
-def _nearest_left(mentions, token_index: int):
-    """Closest of mentions fully left of token_index, None when none is.
+def _nearest_left_index(mentions):
+    """Lookup: token_index -> closest of mentions fully left of it, or None.
 
     Closeness is the mention's last token; ties (overlapping
     candidates) break toward the later start index, then the earlier
-    mention.
+    mention. Built once per candidate list; each lookup bisects.
     """
-    best = None
-    for m in mentions:
-        if m.token_indices[-1] >= token_index:
-            continue
-        if best is None or (
-            (m.token_indices[-1], m.token_indices[0])
-            > (best.token_indices[-1], best.token_indices[0])
+    ordered = sorted(mentions, key=lambda m: m.token_indices[-1])
+    lasts = [m.token_indices[-1] for m in ordered]
+    # best[i]: the answer among ordered[:i + 1]. The sort is stable, so
+    # of two mentions with equal (last, first) tokens the earlier comes
+    # first, and only a strictly greater key replaces it.
+    best: list = []
+    for m in ordered:
+        if best and (m.token_indices[-1], m.token_indices[0]) <= (
+            best[-1].token_indices[-1], best[-1].token_indices[0]
         ):
-            best = m
-    return best
+            m = best[-1]
+        best.append(m)
+
+    def nearest(token_index: int):
+        k = bisect_left(lasts, token_index)
+        return best[k - 1] if k else None
+
+    return nearest
 
 
 def _left_neighbours(mentions, candidates):
     """(mention, its nearest-left candidate) for each mention that has one."""
+    nearest_left = _nearest_left_index(candidates)
     for m in mentions:
-        nearest = _nearest_left(candidates, m.token_indices[0])
+        nearest = nearest_left(m.token_indices[0])
         if nearest is not None:
             yield m, nearest
 
 
 def nearest_left_actor(doc: Document, schema: SchemaDescriptor, token_index: int):
-    """Closest actor mention fully left of token_index (see _nearest_left)."""
-    return _nearest_left(_mentions_by_role(doc, schema)["actor"], token_index)
+    """Closest actor mention fully left of token_index (see _nearest_left_index)."""
+    return _nearest_left_index(_mentions_by_role(doc, schema)["actor"])(token_index)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +259,21 @@ def consolidate(doc: Document, schema: SchemaDescriptor) -> Document:
         if len(g) > 1
     ]
     existing = {frozenset(e.mention_ids) for e in entities}
-    counter = 0
-    for key in groups:
-        if key in existing:
-            continue
-        # entities strictly inside the merged group give way to it
-        entities = [e for e in entities if not set(e.mention_ids) < key]
-        entities.append(Entity(f"e-gw-{counter}", key))
-        counter += 1
+    new_groups = [key for key in groups if key not in existing]
+    if new_groups:
+        # entities strictly inside a new merged group give way to it; the
+        # groups are disjoint, so one member names the only candidate,
+        # and an entity without mentions lies inside every group
+        group_of = {mid: key for key in new_groups for mid in key}
+        entities = [
+            e for e in entities
+            if e.mention_ids and not set(e.mention_ids) < group_of.get(
+                next(iter(e.mention_ids)), frozenset()
+            )
+        ]
+        entities.extend(
+            Entity(f"e-gw-{counter}", key) for counter, key in enumerate(new_groups)
+        )
 
     # 3. performer completion by the nearest-left rule
     perf_type = _relation_type_for(schema, "performer")
@@ -333,10 +350,8 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
         + [(AND, members) for _, members in _clusters(doc, roles["and_gateway"])],
         key=lambda pair: pair[1][0].token_indices[0],
     )
-    anchors = [
-        _nearest_left(roles["actor"], members[0].token_indices[0])
-        for _, members in gateways
-    ]
+    nearest_actor = _nearest_left_index(roles["actor"])
+    anchors = [nearest_actor(members[0].token_indices[0]) for _, members in gateways]
     needs_unassigned = (
         not lanes
         or any(anchor is None for anchor in anchors)

@@ -323,7 +323,7 @@ def _read_predictions(path):
                 items = tuple(item_from_record(item) for item in record["items"])
             except KeyError as exc:
                 raise LoadError(f"{where}: an item has no {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
+            except (LoadError, ValueError) as exc:
                 raise LoadError(f"{where}: {exc}") from exc
             yield where, record, items
 

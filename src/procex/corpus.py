@@ -147,8 +147,20 @@ class SchemaDescriptor:
                     table.setdefault((kind, normalize_type_name(name)), value)
         return table
 
+    @cached_property
+    def _resolved(self) -> dict[tuple[str, str], str | None]:
+        """(kind, raw name) -> resolution, filled as names are looked up."""
+        return {}
+
     def _resolve(self, kind: str, name: str) -> str | None:
-        return self._names.get((kind, normalize_type_name(name)))
+        # each distinct raw name is normalized once per instance
+        key = (kind, name)
+        try:
+            return self._resolved[key]
+        except KeyError:
+            value = self._names.get((kind, normalize_type_name(name)))
+            self._resolved[key] = value
+            return value
 
     def canonical_mention_type(self, name: str) -> str | None:
         return self._resolve("mention", name)
@@ -410,6 +422,75 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Field checks on decoded JSON records
+
+def check_field(record: dict, name: str, kind: type, what: str):
+    """record[name], which must be a kind; what names the record in errors.
+
+    A missing field raises KeyError, a field of another JSON type
+    LoadError.
+    """
+    value = record[name]
+    if not isinstance(value, kind):
+        raise _type_error(what, name, "is", value, kind)
+    return value
+
+
+def check_list(record: dict, name: str, kind: type, what: str) -> tuple:
+    """record[name] as a tuple, which must be a list of kind values."""
+    return _elements(check_field(record, name, list, what), kind, what, name)
+
+
+def _elements(values, kind: type, what: str, name: str) -> tuple:
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, kind):
+            raise _type_error(what, name, "holds", value, kind)
+    return values
+
+
+def _optional_list(record: dict, name: str, kind: type, what: str) -> tuple:
+    return check_list(record, name, kind, what) if name in record else ()
+
+
+def _rows(record: dict, name: str, what: str, fields):
+    """One tuple of field values per object in the optional list record[name].
+
+    fields holds (field name, kind) pairs; a kind that admits None
+    makes its field optional. Values are checked a field at a time,
+    which costs a fraction of a check_field call per value on
+    documents with thousands of tokens.
+    """
+    objects = _optional_list(record, name, dict, "document")
+    columns = []
+    for field_name, kind in fields:
+        if isinstance(kind, tuple) and type(None) in kind:
+            values = [o.get(field_name) for o in objects]
+        else:
+            values = [o[field_name] for o in objects]
+        for value in values:
+            if not isinstance(value, kind):
+                raise _type_error(what, field_name, "is", value, kind)
+        columns.append(values)
+    return zip(*columns)
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_type(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_json_type, kind))
+    return _JSON_TYPES.get(kind, kind.__name__)
+
+
+def _type_error(what: str, name: str, verb: str, value, kind) -> LoadError:
+    return LoadError(f"{what} field {name!r} {verb} {_json_type(type(value))}, "
+                     f"not {_json_type(kind)}")
+
+
+# ---------------------------------------------------------------------------
 # PET export layout
 
 def load_pet(path: str | Path, schema: SchemaDescriptor | None = None) -> Dataset:
@@ -432,6 +513,8 @@ def load_pet(path: str | Path, schema: SchemaDescriptor | None = None) -> Datase
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LoadError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise LoadError(f"line {line_no}: not a JSON object")
         try:
             docs.append(_pet_document(record, schema, line_no))
         except KeyError as exc:
@@ -442,10 +525,11 @@ def load_pet(path: str | Path, schema: SchemaDescriptor | None = None) -> Datase
 
 
 def _pet_document(record: dict, schema: SchemaDescriptor, line_no: int) -> Document:
-    doc_id = record["document name"]
-    words = record["tokens"]
-    sentence_ids = record["sentence-IDs"]
-    tags = record["ner-tags"]
+    what = f"line {line_no}: document"
+    doc_id = check_field(record, "document name", str, what)
+    words = check_list(record, "tokens", str, what)
+    sentence_ids = check_list(record, "sentence-IDs", int, what)
+    tags = check_list(record, "ner-tags", str, what)
     if not (len(words) == len(sentence_ids) == len(tags)):
         raise LoadError(
             f"line {line_no}: tokens ({len(words)}), sentence-IDs ({len(sentence_ids)}) "
@@ -469,10 +553,11 @@ def _pet_document(record: dict, schema: SchemaDescriptor, line_no: int) -> Docum
         return mentions[ordinal].id
 
     relations = []
-    for i, rel in enumerate(record.get("relations", [])):
-        canonical = schema.canonical_relation_type(rel["relation-type"])
+    for i, rel in enumerate(_optional_list(record, "relations", dict, what)):
+        relation_type = check_field(rel, "relation-type", str, f"line {line_no}: relation")
+        canonical = schema.canonical_relation_type(relation_type)
         if canonical is None:
-            raise LoadError(f"line {line_no}: relation type {rel['relation-type']!r} not in schema")
+            raise LoadError(f"line {line_no}: relation type {relation_type!r} not in schema")
         relations.append(
             Relation(
                 id=f"r{i}",
@@ -482,7 +567,7 @@ def _pet_document(record: dict, schema: SchemaDescriptor, line_no: int) -> Docum
             )
         )
     entities = []
-    for i, cluster in enumerate(record.get("entity-clusters", [])):
+    for i, cluster in enumerate(_optional_list(record, "entity-clusters", list, what)):
         entities.append(
             Entity(
                 id=f"e{i}",
@@ -541,46 +626,45 @@ def document_to_record(doc: Document) -> dict:
 
 
 def document_from_record(record: dict) -> Document:
+    """Decode one canonical document record.
+
+    A missing field raises KeyError, a field of the wrong JSON type
+    LoadError.
+    """
     version = record.get("format_version")
     if version != FORMAT_VERSION:
         raise LoadError(f"unsupported format_version {version!r}")
     return Document(
-        id=record["id"],
-        raw_text=record["text"],
+        id=check_field(record, "id", str, "document"),
+        raw_text=check_field(record, "text", str, "document"),
         tokens=tuple(
-            Token(text=t["text"], index=t["index"], sentence_index=t["sentence_index"])
-            for t in record.get("tokens", [])
+            Token(*row) for row in _rows(record, "tokens", "token", (
+                ("text", str), ("index", int), ("sentence_index", int),
+            ))
         ),
         mentions=tuple(
-            Mention(
-                id=m["id"],
-                mention_type=m["mention_type"],
-                token_indices=tuple(m["token_indices"]),
-            )
-            for m in record.get("mentions", [])
+            Mention(mid, mtype, _elements(indices, int, "mention", "token_indices"))
+            for mid, mtype, indices in _rows(record, "mentions", "mention", (
+                ("id", str), ("mention_type", str), ("token_indices", list),
+            ))
         ),
         entities=tuple(
-            Entity(id=e["id"], mention_ids=frozenset(e["mention_ids"]))
-            for e in record.get("entities", [])
+            Entity(eid, frozenset(_elements(ids, str, "entity", "mention_ids")))
+            for eid, ids in _rows(record, "entities", "entity", (
+                ("id", str), ("mention_ids", list),
+            ))
         ),
         relations=tuple(
-            Relation(
-                id=r["id"],
-                relation_type=r["relation_type"],
-                source_mention_id=r["source_mention_id"],
-                target_mention_id=r["target_mention_id"],
-            )
-            for r in record.get("relations", [])
+            Relation(*row) for row in _rows(record, "relations", "relation", (
+                ("id", str), ("relation_type", str),
+                ("source_mention_id", str), ("target_mention_id", str),
+            ))
         ),
         constraints=tuple(
-            Constraint(
-                id=c["id"],
-                constraint_type=c["constraint_type"],
-                negated=c["negated"],
-                first_action=c["first_action"],
-                second_action=c.get("second_action"),
-            )
-            for c in record.get("constraints", [])
+            Constraint(*row) for row in _rows(record, "constraints", "constraint", (
+                ("id", str), ("constraint_type", str), ("negated", bool),
+                ("first_action", str), ("second_action", (str, type(None))),
+            ))
         ),
     )
 
@@ -606,6 +690,8 @@ def load_canonical(path: str | Path, schema: SchemaDescriptor | None = None) -> 
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LoadError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise LoadError(f"line {line_no}: not a JSON object")
         if "schema" in record and "id" not in record:
             if schema is None:
                 schema = SchemaDescriptor.from_record(record["schema"])

@@ -13,7 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import Document, SchemaDescriptor, normalize_phrase
+from .corpus import (
+    Document,
+    SchemaDescriptor,
+    check_field,
+    check_list,
+    normalize_phrase,
+)
 
 
 @dataclass(frozen=True)
@@ -313,41 +319,30 @@ def item_to_record(item) -> dict:
     raise TypeError(f"not a parsed item: {item!r}")
 
 
-def _field(record: dict, name: str, kind: type):
-    value = record[name]
-    if not isinstance(value, kind):
-        raise TypeError(f"{record['kind']} item field {name!r} is "
-                        f"{type(value).__name__}, not {kind.__name__}")
-    return value
-
-
-def _strings(record: dict, name: str) -> tuple:
-    values = tuple(_field(record, name, list))
-    if not all(isinstance(v, str) for v in values):
-        raise TypeError(f"{record['kind']} item field {name!r} holds a non-string")
-    return values
-
-
 def item_from_record(record: dict):
     """Inverse of item_to_record, for reloading persisted predictions.
 
     A missing field raises KeyError, a field of the wrong JSON type
-    TypeError.
+    LoadError.
     """
     kind = record.get("kind")
+    what = f"{kind} item"
     if kind == "mention":
-        return ParsedMention(_field(record, "type", str), _field(record, "surface", str))
+        return ParsedMention(check_field(record, "type", str, what),
+                             check_field(record, "surface", str, what))
     if kind == "cluster":
-        return ParsedCluster(_strings(record, "surfaces"))
+        return ParsedCluster(check_list(record, "surfaces", str, what))
     if kind == "relation":
         return ParsedRelation(
-            _field(record, "type", str), _field(record, "source", str),
-            _field(record, "target", str),
+            check_field(record, "type", str, what),
+            check_field(record, "source", str, what),
+            check_field(record, "target", str, what),
         )
     if kind == "constraint":
         return ParsedConstraint(
-            _field(record, "type", str), _field(record, "negated", bool),
-            _strings(record, "actions"),
+            check_field(record, "type", str, what),
+            check_field(record, "negated", bool, what),
+            check_list(record, "actions", str, what),
         )
     raise ValueError(f"unknown item kind {kind!r}")
 

@@ -31,6 +31,7 @@ from procex.bpmn import (
     ProcessGraph,
     SequenceFlow,
     _escape,
+    _nearest_left_index,
     _quoteattr,
     build_vertices,
     compile_document,
@@ -106,6 +107,73 @@ def test_nearest_left_actor_prefers_closest_then_later_start(pet_schema):
     )
     assert nearest_left_actor(doc2, pet_schema, 31).id == "a2"
     assert nearest_left_actor(doc2, pet_schema, 3) is None
+
+
+def scan_nearest_left(mentions, token_index):
+    """The nearest-left rule as a scan over every candidate (the oracle)."""
+    best = None
+    for m in mentions:
+        if m.token_indices[-1] >= token_index:
+            continue
+        if best is None or (
+            (m.token_indices[-1], m.token_indices[0])
+            > (best.token_indices[-1], best.token_indices[0])
+        ):
+            best = m
+    return best
+
+
+# (first, last) token of each candidate: overlapping spans and shared
+# last tokens are frequent on so few tokens
+CANDIDATE_SPANS = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 3)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spans=CANDIDATE_SPANS)
+@example(spans=[])
+@example(spans=[(4, 5), (5, 5), (3, 5), (5, 5)])
+@example(spans=[(2, 4), (2, 4)])
+def test_nearest_left_index_matches_the_scan(spans):
+    mentions = [
+        Mention(f"m{i}", "Actor", tuple(range(first, last + 1)))
+        for i, (first, last) in enumerate(spans)
+    ]
+    nearest = _nearest_left_index(mentions)
+    # queries before the first and after the last candidate, and at every
+    # token in between
+    for token_index in range(-1, 18):
+        assert nearest(token_index) is scan_nearest_left(mentions, token_index)
+
+
+def test_nearest_left_lookups_grow_linearly(pet_schema):
+    # Mention span reads during compile_document: a scan over every
+    # candidate per lookup made them grow with activities x actors.
+    from test_parser import concatenated
+
+    pet = corpus.load_pet(DATA_DIR / "pet.jsonl")
+    reads = [0]
+
+    class CountedMention(Mention):
+        def __getattribute__(self, name):
+            if name == "token_indices":
+                reads[0] += 1
+            return object.__getattribute__(self, name)
+
+    counts = []
+    for k in (1, 4):
+        doc = concatenated(pet.documents, k)
+        doc = Document(doc.id, doc.raw_text, doc.tokens, tuple(
+            CountedMention(m.id, m.mention_type, m.token_indices) for m in doc.mentions
+        ))
+        reads[0] = 0
+        compile_document(doc, pet_schema)
+        counts.append(reads[0])
+    assert counts[1] <= 4.4 * counts[0], counts
 
 
 def test_consolidate_attaches_condition_to_nearest_preceding_gateway(pet_schema):
@@ -187,6 +255,31 @@ def test_consolidate_never_merges_an_xor_with_an_and_gateway(pet_schema):
     kinds = sorted(n.kind for n in build_vertices(out, pet_schema).nodes
                    if n.kind in (XOR, AND))
     assert kinds == sorted([XOR, AND])
+
+
+def test_consolidate_drops_entities_inside_a_new_gateway_group(pet_schema):
+    doc = make_doc(
+        "syn-gw4",
+        ["Either ship or cancel or hold ."],
+        [
+            ("g1", "XOR Gateway", (0,)),
+            ("g2", "XOR Gateway", (2,)),
+            ("g3", "XOR Gateway", (4,)),
+            ("t1", "Activity", (1,)),
+        ],
+        entities=[("e0", ()), ("e1", ("g1", "g2")), ("e2", ("t1",))],
+        relations=[("r0", "same gateway", "g2", "g3")],
+    )
+    out = consolidate(doc, pet_schema)
+    # the empty entity lies inside every group and the pair inside the
+    # triple; the activity's entity stays
+    assert [(e.id, sorted(e.mention_ids)) for e in out.entities] == [
+        ("e2", ["t1"]), ("e-gw-0", ["g1", "g2", "g3"]),
+    ]
+    # without a new group, an empty entity stays
+    lone = make_doc("syn-gw5", ["Either ship ."], [("g1", "XOR Gateway", (0,))],
+                    entities=[("e0", ())])
+    assert consolidate(lone, pet_schema).entities == lone.entities
 
 
 def test_consolidate_completes_missing_performer(pet_schema):

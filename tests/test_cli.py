@@ -492,3 +492,41 @@ def test_generate_bpmn_malformed_predictions_is_data_error(case, capsys,
     code = main(["generate-bpmn", "--in", str(DATA / "fixtures" / "doc33.json"),
                  "--predictions", str(path), "--out", str(tmp_path / "x.bpmn")])
     assert_one_data_error(capsys, code, path)
+
+
+# Dataset records with a field of the wrong JSON type: (file, line, change)
+def _set(field, value):
+    return lambda record: record.__setitem__(field, value)
+
+
+MALFORMED_DATASETS = {
+    "canonical-tokens-not-a-list": ("decon.jsonl", 2, _set("tokens", 5)),
+    "canonical-constraint-not-an-object": ("decon.jsonl", 2, _set("constraints", [5])),
+    "canonical-mentions-null": ("decon.jsonl", 2, _set("mentions", None)),
+    "pet-relations-an-object": ("pet.jsonl", 1, _set("relations", {"x": 1})),
+    "pet-sentence-ids-all-null": (
+        "pet.jsonl", 1,
+        lambda record: record.__setitem__("sentence-IDs",
+                                          [None] * len(record["sentence-IDs"])),
+    ),
+    "pet-tokens-not-a-list": ("pet.jsonl", 1, _set("tokens", 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
+def test_malformed_dataset_field_is_data_error(case, capsys, tmp_path):
+    name, line_no, change = MALFORMED_DATASETS[case]
+    lines = (DATA / name).read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[line_no - 1])
+    change(record)
+    lines[line_no - 1] = json.dumps(record)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    code = main(["evaluate", "--dataset", str(path), "--task", "MD",
+                 "--predictions", str(predictions)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: data: line {line_no}: "), err

@@ -380,3 +380,75 @@ def test_schema_copy_resolves_against_its_own_fields():
     # the parent keeps its own table
     assert schema.canonical_mention_type("actor") == "Actor"
     assert schema.mention_role_of("Activity") == "activity"
+
+
+MEMO_SCHEMA = corpus.SchemaDescriptor(
+    dataset_name="memo",
+    mention_types=("Activity Data", "XOR Gateway", "actor"),
+    relation_types=("actor performer", "flow"),
+    constraint_types=("init", "response"),
+    unary_constraint_types=frozenset({"init"}),
+    mention_roles={"data": ("Activity Data",), "actor": ("actor",)},
+    relation_roles={"performer": ("actor performer",), "flow": ("FLOW",)},
+)
+DECLARED_NAMES = ["Activity Data", "XOR Gateway", "actor", "actor performer", "flow",
+                  "FLOW", "init", "response"]
+
+
+def scan_resolve(declared, name):
+    """First declared (value, names) entry whose names normalize like name."""
+    key = corpus.normalize_type_name(name)
+    return next((value for value, names in declared
+                 if any(corpus.normalize_type_name(n) == key for n in names)), None)
+
+
+# declared names with case, separator and whitespace changes, and text
+NAME_VARIANTS = st.one_of(
+    st.text(max_size=12),
+    st.tuples(st.sampled_from(DECLARED_NAMES), st.sampled_from(["", " ", "_", "\t"]),
+              st.booleans()).map(
+        lambda t: (t[0].upper() if t[2] else t[0]).replace(" ", t[1] or " ") + t[1]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(NAME_VARIANTS, max_size=6))
+def test_memoized_resolution_equals_uncached_lookup(names):
+    schema = dataclasses.replace(MEMO_SCHEMA)  # a fresh, empty memo
+    inventories = {
+        schema.canonical_mention_type: [(t, (t,)) for t in schema.mention_types],
+        schema.canonical_relation_type: [(t, (t,)) for t in schema.relation_types],
+        schema.canonical_constraint_type: [(t, (t,)) for t in schema.constraint_types],
+        schema.mention_role_of: list(schema.mention_roles.items()),
+        schema.relation_role_of: list(schema.relation_roles.items()),
+    }
+    # every name twice: the second lookup comes from the memo
+    for name in names + names:
+        for resolve, declared in inventories.items():
+            assert resolve(name) == scan_resolve(declared, name), (resolve, name)
+        assert schema.is_unary(name) == (
+            scan_resolve([(t, (t,)) for t in schema.unary_constraint_types], name)
+            is not None
+        )
+
+
+def test_schema_copy_resolves_after_the_original_was_queried():
+    schema = corpus.load_schema("pet")
+    queries = [
+        (schema.canonical_mention_type, "actor"),
+        (schema.canonical_relation_type, "flow"),
+        (schema.mention_role_of, "Activity"),
+        (schema.relation_role_of, "flow"),
+    ]
+    before = [resolve(name) for resolve, name in queries]
+    assert before == ["Actor", "flow", "activity", "flow"]
+    narrowed = dataclasses.replace(
+        schema, mention_types=("Activity",), relation_types=("uses",),
+        mention_roles={"actor": ("Activity",)}, relation_roles={"sequence": ("flow",)},
+    )
+    assert narrowed.canonical_mention_type("actor") is None
+    assert narrowed.canonical_relation_type("flow") is None
+    assert narrowed.mention_role_of("Activity") == "actor"
+    assert narrowed.relation_role_of("flow") == "sequence"
+    assert [resolve(name) for resolve, name in queries] == before
