@@ -28,6 +28,9 @@ from .corpus import (
     Entity,
     Relation,
     ValidationError,
+    check,
+    decode_json,
+    json_lines,
     load_canonical,
     load_pet,
     load_schema,
@@ -222,12 +225,15 @@ def _resolve(args, name: str, default=None):
     return default
 
 
+CONFIG_SHAPE = {"model?": str, "mode?": str, "cache?": str, "out?": str}
+
+
 def _make_client(args) -> CachingClient:
     mode = _resolve(args, "mode", "record")
     cache_dir = Path(_resolve(args, "cache", ".procex-cache"))
-    if mode == "replay":
-        return CachingClient(cache_dir, mode="replay")
-    return CachingClient(cache_dir, HttpProvider.from_env(), mode="record")
+    # no provider unless recording; CachingClient rejects a misspelled mode
+    provider = HttpProvider.from_env() if mode == "record" else None
+    return CachingClient(cache_dir, provider, mode=mode)
 
 
 def _sniff_dataset(path, schema_source=None) -> Dataset:
@@ -236,10 +242,7 @@ def _sniff_dataset(path, schema_source=None) -> Dataset:
     schema = load_schema(schema_source) if schema_source else None
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
-    try:
-        head = json.loads(first) if first.strip() else {}
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"{path}: not a dataset file ({exc.msg})") from exc
+    head = decode_json(first, "line 1") if first.strip() else {}
     if isinstance(head, dict) and "format_version" in head:
         return load_canonical(path, schema)
     return load_pet(path, schema)
@@ -298,34 +301,21 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
+PREDICTIONS_SHAPE = {"document_id": str, "items": [dict]}
+
+
 def _read_predictions(path):
     """Yield ("<path>:<line>", record, parsed items) per predictions record.
 
-    A line that is not a JSON object with a document_id and a list of
-    well-formed item objects raises LoadError naming the line.
+    A line that does not fit PREDICTIONS_SHAPE, or an item that does
+    not fit its kind's shape, raises LoadError naming the line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LoadError(f"{where}: not valid JSON ({exc.msg})") from exc
-            if not (isinstance(record, dict) and "document_id" in record
-                    and isinstance(record.get("items"), list)):
-                raise LoadError(f"{where}: not an object with a document_id "
-                                "and a list of items")
-            if not all(isinstance(item, dict) for item in record["items"]):
-                raise LoadError(f"{where}: an item is not a JSON object")
-            try:
-                items = tuple(item_from_record(item) for item in record["items"])
-            except KeyError as exc:
-                raise LoadError(f"{where}: an item has no {exc.args[0]!r}") from exc
-            except (LoadError, ValueError) as exc:
-                raise LoadError(f"{where}: {exc}") from exc
-            yield where, record, items
+    for line_no, record in json_lines(path, f"{path}:"):
+        where = f"{path}:{line_no}"
+        check(record, PREDICTIONS_SHAPE, f"{where}: record")
+        yield where, record, tuple(
+            item_from_record(item, f"{where}: item") for item in record["items"]
+        )
 
 
 def cmd_evaluate(args) -> int:
@@ -523,13 +513,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        file_config = {}
         config_path = getattr(args, "config", None)
         if config_path:
-            file_config = json.loads(Path(config_path).read_text("utf-8"))
-            if not isinstance(file_config, dict):
-                raise ValidationError(f"{config_path}: not a JSON object")
-        args.file_config = file_config
+            text = Path(config_path).read_text("utf-8")
+            args.file_config = check(decode_json(text, config_path), CONFIG_SHAPE,
+                                     f"{config_path}: config")
         return args.func(args)
     except (ProviderError, ReplayMissError) as exc:
         _fail("provider", str(exc))

@@ -16,6 +16,8 @@ import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 FORMAT_VERSION = 1
@@ -230,21 +232,40 @@ class SchemaDescriptor:
         }
 
     @classmethod
-    def from_record(cls, record: dict) -> "SchemaDescriptor":
+    def from_record(cls, record: dict, what: str = "schema") -> "SchemaDescriptor":
+        """Build a schema from its JSON record; what prefixes LoadError messages."""
+        get = check(record, SCHEMA_SHAPE, what).get
         return cls(
             dataset_name=record["dataset_name"],
-            mention_types=tuple(record.get("mention_types", ())),
-            relation_types=tuple(record.get("relation_types", ())),
-            constraint_types=tuple(record.get("constraint_types", ())),
-            unary_constraint_types=frozenset(record.get("unary_constraint_types", ())),
-            definitions=dict(record.get("definitions", {})),
-            hints={k: tuple(v) for k, v in record.get("hints", {}).items()},
-            considerations=tuple(record.get("considerations", ())),
-            tasks=tuple(record.get("tasks", TASKS)),
-            mention_roles={k: tuple(v) for k, v in record.get("mention_roles", {}).items()},
-            relation_roles={k: tuple(v) for k, v in record.get("relation_roles", {}).items()},
-            match_policy=dict(record.get("match_policy", {})),
+            mention_types=tuple(get("mention_types", ())),
+            relation_types=tuple(get("relation_types", ())),
+            constraint_types=tuple(get("constraint_types", ())),
+            unary_constraint_types=frozenset(get("unary_constraint_types", ())),
+            definitions=dict(get("definitions", {})),
+            hints={k: tuple(v) for k, v in get("hints", {}).items()},
+            considerations=tuple(get("considerations", ())),
+            tasks=tuple(get("tasks", TASKS)),
+            mention_roles={k: tuple(v) for k, v in get("mention_roles", {}).items()},
+            relation_roles={k: tuple(v) for k, v in get("relation_roles", {}).items()},
+            match_policy=dict(get("match_policy", {})),
         )
+
+
+SCHEMA_SHAPE = {
+    "dataset_name": str,
+    "mention_types?": [str],
+    "relation_types?": [str],
+    "constraint_types?": [str],
+    "unary_constraint_types?": [str],
+    "definitions?": {str: str},
+    "hints?": {str: [str]},
+    "considerations?": [str],
+    "tasks?": [str],
+    "mention_roles?": {str: [str]},
+    "relation_roles?": {str: [str]},
+    "match_policy?": {"span_mode?": str, "type_sensitive?": bool,
+                      "constraint_normalization?": str},
+}
 
 
 @dataclass(frozen=True)
@@ -270,11 +291,8 @@ def load_schema(source: str | Path) -> SchemaDescriptor:
             text = ref.read_text(encoding="utf-8")
         except FileNotFoundError:
             raise LoadError(f"no bundled schema or file named {source!r}")
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"schema {source}: {exc}") from exc
-    schema = SchemaDescriptor.from_record(record)
+    where = f"schema {source}"
+    schema = SchemaDescriptor.from_record(decode_json(text, where), f"{where}: schema")
     problems = schema.validate()
     if problems:
         raise ValidationError(f"schema {schema.dataset_name}: " + "; ".join(problems))
@@ -422,57 +440,50 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Field checks on decoded JSON records
+# Shape checks on decoded JSON
 
-def check_field(record: dict, name: str, kind: type, what: str):
-    """record[name], which must be a kind; what names the record in errors.
+def check(value, shape, what: str):
+    """Return value, decoded JSON, if it has the given shape; else raise LoadError.
 
-    A missing field raises KeyError, a field of another JSON type
-    LoadError.
+    A shape is plain data: a type or a tuple of types, matched with
+    isinstance; [shape] for an array; {field: shape} for an object,
+    where a trailing "?" marks an optional field and fields the shape
+    does not name are allowed; {str: shape} for a map. what names the
+    value in the error, as in "line 3: document"; a field inside it is
+    named by its path, as in 'tokens[].index' ([] an array element, {}
+    a map value).
     """
-    value = record[name]
-    if not isinstance(value, kind):
-        raise _type_error(what, name, "is", value, kind)
+    _check_all([value], shape, what, "")
     return value
 
 
-def check_list(record: dict, name: str, kind: type, what: str) -> tuple:
-    """record[name] as a tuple, which must be a list of kind values."""
-    return _elements(check_field(record, name, list, what), kind, what, name)
-
-
-def _elements(values, kind: type, what: str, name: str) -> tuple:
-    values = tuple(values)
-    for value in values:
-        if not isinstance(value, kind):
-            raise _type_error(what, name, "holds", value, kind)
-    return values
-
-
-def _optional_list(record: dict, name: str, kind: type, what: str) -> tuple:
-    return check_list(record, name, kind, what) if name in record else ()
-
-
-def _rows(record: dict, name: str, what: str, fields):
-    """One tuple of field values per object in the optional list record[name].
-
-    fields holds (field name, kind) pairs; a kind that admits None
-    makes its field optional. Values are checked a field at a time,
-    which costs a fraction of a check_field call per value on
-    documents with thousands of tokens.
-    """
-    objects = _optional_list(record, name, dict, "document")
-    columns = []
-    for field_name, kind in fields:
-        if isinstance(kind, tuple) and type(None) in kind:
-            values = [o.get(field_name) for o in objects]
-        else:
-            values = [o[field_name] for o in objects]
-        for value in values:
-            if not isinstance(value, kind):
-                raise _type_error(what, field_name, "is", value, kind)
-        columns.append(values)
-    return zip(*columns)
+def _check_all(values: list, shape, what: str, path: str) -> None:
+    # one shape node at a time across all values, so a list of thousands
+    # of objects costs a few passes per field; messages only on failure
+    kind = type(shape) if type(shape) in (list, dict) else shape
+    if not all(map(isinstance, values, repeat(kind))):
+        bad = next(v for v in values if not isinstance(v, kind))
+        subject = f"{what} field {path!r}" if path else what
+        raise LoadError(f"{subject} is {_json_type(type(bad))}, not {_json_type(kind)}")
+    if kind is shape:
+        return
+    if kind is list:
+        _check_all(list(chain.from_iterable(values)), shape[0], what, path + "[]")
+    elif str in shape:
+        _check_all(list(chain.from_iterable(map(dict.values, values))), shape[str],
+                   what, path + "{}")
+    else:
+        for name, field_shape in shape.items():
+            key = name.removesuffix("?")
+            at = f"{path}.{key}" if path else key
+            if key != name:
+                column = [d[key] for d in values if key in d]
+            else:
+                try:
+                    column = list(map(itemgetter(key), values))
+                except KeyError:
+                    raise LoadError(f"{what} has no field {at!r}") from None
+            _check_all(column, field_shape, what, at)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -485,9 +496,26 @@ def _json_type(kind) -> str:
     return _JSON_TYPES.get(kind, kind.__name__)
 
 
-def _type_error(what: str, name: str, verb: str, value, kind) -> LoadError:
-    return LoadError(f"{what} field {name!r} {verb} {_json_type(type(value))}, "
-                     f"not {_json_type(kind)}")
+def decode_json(text: str, where: str):
+    """json.loads, raising LoadError prefixed with where on bad input."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"{where}: not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:  # valid JSON, but nested too deeply to decode
+        raise LoadError(f"{where}: JSON nested too deeply") from exc
+
+
+def json_lines(path: str | Path, prefix: str = "line "):
+    """Yield (line number, object) per non-blank line of a JSON-lines file.
+
+    Errors name the line as prefix + line number.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if line.strip():
+                where = f"{prefix}{line_no}"
+                yield line_no, check(decode_json(line, where), dict, f"{where}: record")
 
 
 # ---------------------------------------------------------------------------
@@ -504,32 +532,26 @@ def load_pet(path: str | Path, schema: SchemaDescriptor | None = None) -> Datase
     """
     if schema is None:
         schema = load_schema("pet")
-    docs = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise LoadError(f"line {line_no}: not a JSON object")
-        try:
-            docs.append(_pet_document(record, schema, line_no))
-        except KeyError as exc:
-            raise LoadError(f"line {line_no}: missing key {exc.args[0]!r}") from exc
-    dataset = Dataset(schema=schema, documents=tuple(docs))
+    docs = tuple(_pet_document(record, schema, line_no) for line_no, record in json_lines(path))
+    dataset = Dataset(schema=schema, documents=docs)
     _raise_on_validation(dataset)
     return dataset
 
 
+PET_DOCUMENT_SHAPE = {
+    "document name": str,
+    "tokens": [str],
+    "sentence-IDs": [int],
+    "ner-tags": [str],
+    "relations?": [{"relation-type": str, "source-mention-id": int, "target-mention-id": int}],
+    "entity-clusters?": [[int]],
+}
+
+
 def _pet_document(record: dict, schema: SchemaDescriptor, line_no: int) -> Document:
-    what = f"line {line_no}: document"
-    doc_id = check_field(record, "document name", str, what)
-    words = check_list(record, "tokens", str, what)
-    sentence_ids = check_list(record, "sentence-IDs", int, what)
-    tags = check_list(record, "ner-tags", str, what)
+    check(record, PET_DOCUMENT_SHAPE, f"line {line_no}: document")
+    doc_id = record["document name"]
+    words, sentence_ids, tags = record["tokens"], record["sentence-IDs"], record["ner-tags"]
     if not (len(words) == len(sentence_ids) == len(tags)):
         raise LoadError(
             f"line {line_no}: tokens ({len(words)}), sentence-IDs ({len(sentence_ids)}) "
@@ -548,13 +570,13 @@ def _pet_document(record: dict, schema: SchemaDescriptor, line_no: int) -> Docum
         mentions.append(Mention(id=f"m{ordinal}", mention_type=canonical, token_indices=span))
 
     def mention_id(ordinal, what):
-        if not isinstance(ordinal, int) or not 0 <= ordinal < len(mentions):
+        if not 0 <= ordinal < len(mentions):
             raise ValidationError(f"document {doc_id}: {what} mention ordinal {ordinal} is dangling")
         return mentions[ordinal].id
 
     relations = []
-    for i, rel in enumerate(_optional_list(record, "relations", dict, what)):
-        relation_type = check_field(rel, "relation-type", str, f"line {line_no}: relation")
+    for i, rel in enumerate(record.get("relations", ())):
+        relation_type = rel["relation-type"]
         canonical = schema.canonical_relation_type(relation_type)
         if canonical is None:
             raise LoadError(f"line {line_no}: relation type {relation_type!r} not in schema")
@@ -567,7 +589,7 @@ def _pet_document(record: dict, schema: SchemaDescriptor, line_no: int) -> Docum
             )
         )
     entities = []
-    for i, cluster in enumerate(_optional_list(record, "entity-clusters", list, what)):
+    for i, cluster in enumerate(record.get("entity-clusters", ())):
         entities.append(
             Entity(
                 id=f"e{i}",
@@ -625,46 +647,46 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
-def document_from_record(record: dict) -> Document:
-    """Decode one canonical document record.
+DOCUMENT_SHAPE = {
+    "id": str,
+    "text": str,
+    "tokens?": [{"text": str, "index": int, "sentence_index": int}],
+    "mentions?": [{"id": str, "mention_type": str, "token_indices": [int]}],
+    "entities?": [{"id": str, "mention_ids": [str]}],
+    "relations?": [{"id": str, "relation_type": str,
+                    "source_mention_id": str, "target_mention_id": str}],
+    "constraints?": [{"id": str, "constraint_type": str, "negated": bool,
+                      "first_action": str, "second_action?": (str, type(None))}],
+}
 
-    A missing field raises KeyError, a field of the wrong JSON type
-    LoadError.
-    """
+
+def document_from_record(record: dict, what: str = "document") -> Document:
+    """Decode one canonical document record; what prefixes LoadError messages."""
     version = record.get("format_version")
     if version != FORMAT_VERSION:
-        raise LoadError(f"unsupported format_version {version!r}")
+        raise LoadError(f"{what} has unsupported format_version {version!r}")
+    get = check(record, DOCUMENT_SHAPE, what).get
     return Document(
-        id=check_field(record, "id", str, "document"),
-        raw_text=check_field(record, "text", str, "document"),
+        id=record["id"],
+        raw_text=record["text"],
         tokens=tuple(
-            Token(*row) for row in _rows(record, "tokens", "token", (
-                ("text", str), ("index", int), ("sentence_index", int),
-            ))
+            Token(t["text"], t["index"], t["sentence_index"]) for t in get("tokens", ())
         ),
         mentions=tuple(
-            Mention(mid, mtype, _elements(indices, int, "mention", "token_indices"))
-            for mid, mtype, indices in _rows(record, "mentions", "mention", (
-                ("id", str), ("mention_type", str), ("token_indices", list),
-            ))
+            Mention(m["id"], m["mention_type"], tuple(m["token_indices"]))
+            for m in get("mentions", ())
         ),
         entities=tuple(
-            Entity(eid, frozenset(_elements(ids, str, "entity", "mention_ids")))
-            for eid, ids in _rows(record, "entities", "entity", (
-                ("id", str), ("mention_ids", list),
-            ))
+            Entity(e["id"], frozenset(e["mention_ids"])) for e in get("entities", ())
         ),
         relations=tuple(
-            Relation(*row) for row in _rows(record, "relations", "relation", (
-                ("id", str), ("relation_type", str),
-                ("source_mention_id", str), ("target_mention_id", str),
-            ))
+            Relation(r["id"], r["relation_type"], r["source_mention_id"], r["target_mention_id"])
+            for r in get("relations", ())
         ),
         constraints=tuple(
-            Constraint(*row) for row in _rows(record, "constraints", "constraint", (
-                ("id", str), ("constraint_type", str), ("negated", bool),
-                ("first_action", str), ("second_action", (str, type(None))),
-            ))
+            Constraint(c["id"], c["constraint_type"], c["negated"], c["first_action"],
+                       c.get("second_action"))
+            for c in get("constraints", ())
         ),
     )
 
@@ -682,26 +704,12 @@ def save_canonical(dataset: Dataset, path: str | Path) -> None:
 def load_canonical(path: str | Path, schema: SchemaDescriptor | None = None) -> Dataset:
     """Read a canonical-format dataset file back into a Dataset."""
     docs = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise LoadError(f"line {line_no}: not a JSON object")
+    for line_no, record in json_lines(path):
         if "schema" in record and "id" not in record:
             if schema is None:
-                schema = SchemaDescriptor.from_record(record["schema"])
+                schema = SchemaDescriptor.from_record(record["schema"], f"line {line_no}: schema")
             continue
-        try:
-            docs.append(document_from_record(record))
-        except KeyError as exc:
-            raise LoadError(f"line {line_no}: missing key {exc.args[0]!r}") from exc
-        except LoadError as exc:
-            raise LoadError(f"line {line_no}: {exc}") from exc
+        docs.append(document_from_record(record, f"line {line_no}: document"))
     if schema is None:
         raise LoadError(f"{path}: no schema header and no schema argument")
     dataset = Dataset(schema=schema, documents=tuple(docs))

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LoadError
+from .corpus import LoadError, check, decode_json
 
 ENV_API_KEY = "PROCEX_API_KEY"
 ENV_ENDPOINT = "PROCEX_ENDPOINT"
@@ -190,6 +190,10 @@ class HttpProvider:
             raise ProviderError(f"malformed provider payload: {exc}") from exc
 
 
+CACHE_ENTRY_SHAPE = {"response": {"text": str, "input_token_count": int,
+                                  "output_token_count": int, "provider_name": str}}
+
+
 class CachingClient:
     """Record/replay front of any provider callable."""
 
@@ -224,8 +228,9 @@ class CachingClient:
         return self.cache_dir / f"{digest}.json"
 
     def _load(self, path: Path) -> ChatResponse:
+        entry = decode_json(path.read_text(encoding="utf-8"), str(path))
+        stored = check(entry, CACHE_ENTRY_SHAPE, f"{path}: cache entry")["response"]
         try:
-            stored = json.loads(path.read_text(encoding="utf-8"))["response"]
             return ChatResponse(
                 text=stored["text"],
                 input_token_count=stored["input_token_count"],
@@ -233,9 +238,7 @@ class CachingClient:
                 provider_name=stored["provider_name"],
                 retrieved_from_cache=True,
             )
-        except KeyError as exc:
-            raise LoadError(f"{path}: cache entry has no {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:  # a negative token count
             raise LoadError(f"{path}: {exc}") from exc
 
     def _store(self, path: Path, request: ChatRequest, response: ChatResponse) -> None:

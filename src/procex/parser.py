@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .corpus import (
     Document,
+    LoadError,
     SchemaDescriptor,
-    check_field,
-    check_list,
+    check,
     normalize_phrase,
 )
 
@@ -319,32 +319,31 @@ def item_to_record(item) -> dict:
     raise TypeError(f"not a parsed item: {item!r}")
 
 
-def item_from_record(record: dict):
+ITEM_SHAPES = {
+    "mention": {"type": str, "surface": str},
+    "cluster": {"surfaces": [str]},
+    "relation": {"type": str, "source": str, "target": str},
+    "constraint": {"type": str, "negated": bool, "actions": [str]},
+}
+
+
+def item_from_record(record: dict, what: str = "item"):
     """Inverse of item_to_record, for reloading persisted predictions.
 
-    A missing field raises KeyError, a field of the wrong JSON type
-    LoadError.
+    A record that does not fit its kind's shape raises LoadError, with
+    what as the message prefix.
     """
-    kind = record.get("kind")
-    what = f"{kind} item"
+    kind = check(record, {"kind": str}, what)["kind"]
+    if kind not in ITEM_SHAPES:
+        raise LoadError(f"{what} has unknown kind {kind!r}")
+    r = check(record, ITEM_SHAPES[kind], f"{what} ({kind})")
     if kind == "mention":
-        return ParsedMention(check_field(record, "type", str, what),
-                             check_field(record, "surface", str, what))
+        return ParsedMention(r["type"], r["surface"])
     if kind == "cluster":
-        return ParsedCluster(check_list(record, "surfaces", str, what))
+        return ParsedCluster(tuple(r["surfaces"]))
     if kind == "relation":
-        return ParsedRelation(
-            check_field(record, "type", str, what),
-            check_field(record, "source", str, what),
-            check_field(record, "target", str, what),
-        )
-    if kind == "constraint":
-        return ParsedConstraint(
-            check_field(record, "type", str, what),
-            check_field(record, "negated", bool, what),
-            check_list(record, "actions", str, what),
-        )
-    raise ValueError(f"unknown item kind {kind!r}")
+        return ParsedRelation(r["type"], r["source"], r["target"])
+    return ParsedConstraint(r["type"], r["negated"], tuple(r["actions"]))
 
 
 def report_to_record(report: ParseReport) -> dict:

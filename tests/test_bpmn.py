@@ -9,6 +9,7 @@ gap on "sent back" (no performer) pulls that task into the customer
 lane via the nearest-left rule.
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
@@ -686,10 +687,12 @@ def test_compile_cost_grows_linearly(pet_schema, monkeypatch):
     counts = []
     for k in (1, 2):
         doc = concatenated(pet.documents, k)
+        # a fresh copy starts with an empty memo, so each count is its own compile's
+        schema = dataclasses.replace(pet_schema)
         calls[0] = 0
-        compile_document(doc, pet_schema)
+        compile_document(doc, schema)
         counts.append(calls[0])
-    assert counts[1] <= 2.2 * counts[0], counts
+    assert 0 < counts[1] <= 2.2 * counts[0], counts
 
 
 # sha256 over the serialized BPMN of every PET document, then doc-3.3,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import procex
-from procex import corpus, pipeline
+from procex import cli, corpus, pipeline
 from procex.bpmn import parse_bpmn
 from procex.cli import main
 from procex.corpus import Dataset, Document, Mention, Token, save_canonical
@@ -175,6 +175,49 @@ def test_record_without_endpoint_is_provider_error(capsys, tmp_path):
                  "--cache", str(tmp_path / "c")])
     assert code == 3
     assert "no endpoint configured" in capsys.readouterr().err
+
+
+class _NoProvider:
+    @staticmethod
+    def from_env():
+        pytest.fail("a provider was built for a mode that is not record")
+
+
+@pytest.mark.parametrize("source", ["environment", "config"])
+def test_misspelled_mode_is_data_error_before_any_provider(source, capsys,
+                                                           tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "HttpProvider", _NoProvider)
+    argv = ["extract", "--dataset", str(DATA / "pet.jsonl"), "--task", "MD",
+            "--doc", "doc-1.1", "--cache", str(tmp_path / "c")]
+    if source == "environment":
+        monkeypatch.setenv("PROCEX_MODE", "replya")
+    else:
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"mode": "replya"}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: data: unknown mode 'replya'"], err
+
+
+MALFORMED_CONFIGS = {
+    "invalid-json": "{not json",
+    "cache-a-number": json.dumps({"cache": 5}),
+    "mode-a-number": json.dumps({"mode": 5}),
+    "not-an-object": json.dumps(["model", "m1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_is_data_error_naming_it(case, capsys, tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(MALFORMED_CONFIGS[case], encoding="utf-8")
+    code = main(["cache", "list", "--cache", str(tmp_path / "c"),
+                 "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: data: {config}: "), err
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +555,22 @@ MALFORMED_DATASETS = {
     "pet-tokens-not-a-list": ("pet.jsonl", 1, _set("tokens", 5)),
 }
 
+# Schema records with a field of the wrong JSON type or a missing field,
+# as a canonical file's header (line 1) and as a --schema file
+MALFORMED_SCHEMAS = {
+    "mention-types-a-number": _set("mention_types", 5),
+    "match-policy-an-array": _set("match_policy", [1]),
+    "hint-a-string": _set("hints", {"action": "a string"}),
+    "role-a-string": _set("mention_roles", {"actor": "Actor"}),
+    "tasks-a-string": _set("tasks", "MD"),
+    "no-dataset-name": lambda record: record.pop("dataset_name"),
+}
+MALFORMED_DATASETS.update(
+    (f"header-{case}", ("decon.jsonl", 1,
+                        lambda record, change=change: change(record["schema"])))
+    for case, change in MALFORMED_SCHEMAS.items()
+)
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
 def test_malformed_dataset_field_is_data_error(case, capsys, tmp_path):
@@ -530,3 +589,21 @@ def test_malformed_dataset_field_is_data_error(case, capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith(f"error: data: line {line_no}: "), err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCHEMAS))
+def test_malformed_schema_file_is_data_error(case, capsys, tmp_path):
+    header = json.loads((DATA / "decon.jsonl").read_text(encoding="utf-8")
+                        .splitlines()[0])
+    MALFORMED_SCHEMAS[case](header["schema"])
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(header["schema"]), encoding="utf-8")
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    code = main(["evaluate", "--dataset", str(DATA / "decon.jsonl"),
+                 "--schema", str(schema), "--task", "MD",
+                 "--predictions", str(predictions)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: data: schema {schema}: "), err

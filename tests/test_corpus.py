@@ -155,6 +155,45 @@ def test_validate_flags_unnormalized_action():
 
 
 # ---------------------------------------------------------------------------
+# Shape checks on decoded JSON
+
+ROWS = {"rows?": [{"id": str, "ids": [int], "note?": (str, type(None))}],
+        "names": {str: [str]}}
+
+SHAPE_CASES = [
+    ({"names": {}}, None),
+    ({"names": {"a": ["x"]}, "rows": [{"id": "r", "ids": [1], "extra": 5}]}, None),
+    ({"names": {}, "rows": [{"id": "r", "ids": [], "note": None}]}, None),
+    ([], "x is an array, not an object"),
+    ({}, "x has no field 'names'"),
+    ({"names": {"a": "x"}}, "x field 'names{}' is a string, not an array"),
+    ({"names": {}, "rows": None}, "x field 'rows' is null, not an array"),
+    ({"names": {}, "rows": [{"id": "r", "ids": [1]}, {"ids": []}]},
+     "x has no field 'rows[].id'"),
+    ({"names": {}, "rows": [{"id": "r", "ids": [1, 2.5]}]},
+     "x field 'rows[].ids[]' is a number, not an integer"),
+    ({"names": {}, "rows": [{"id": "r", "ids": [], "note": 1}]},
+     "x field 'rows[].note' is an integer, not a string or null"),
+]
+
+
+@pytest.mark.parametrize("value, message", SHAPE_CASES)
+def test_check_names_the_first_mismatch(value, message):
+    if message is None:
+        assert corpus.check(value, ROWS, "x") is value
+    else:
+        with pytest.raises(LoadError) as err:
+            corpus.check(value, ROWS, "x")
+        assert str(err.value) == message
+
+
+def test_deeply_nested_json_is_a_load_error():
+    with pytest.raises(LoadError) as err:
+        corpus.decode_json("[" * 100_000, "line 1")
+    assert str(err.value).startswith("line 1: ")
+
+
+# ---------------------------------------------------------------------------
 # PET layout loader
 
 PET_LINE = {
@@ -266,6 +305,18 @@ def test_canonical_load_rejects_unknown_version(tmp_path):
     path.write_text(lines[0] + "\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(LoadError):
         corpus.load_canonical(path)
+
+
+def test_canonical_load_keeps_unicode_line_separators_inside_strings(tmp_path):
+    # U+2028 may stand unescaped inside a JSON string; only "\n" ends a line
+    ds = sample_dataset()
+    doc = dataclasses.replace(ds.documents[0], raw_text=ds.documents[0].raw_text + "\u2028")
+    header = {"format_version": 1, "schema": ds.schema.to_record()}
+    path = tmp_path / "ds.jsonl"
+    path.write_text(json.dumps(header) + "\n"
+                    + json.dumps(corpus.document_to_record(doc), ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+    assert corpus.load_canonical(path).documents == (doc,)
 
 
 # ---------------------------------------------------------------------------
