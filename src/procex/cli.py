@@ -113,6 +113,30 @@ def _fail_rows(what: str, failed) -> int:
     return EXIT_PROVIDER
 
 
+def _comma_list(text: str) -> list:
+    """argparse type: a comma list with at least one non-blank part."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError(f"empty comma list {text!r}")
+    return parts
+
+
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a count: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {value}")
+    return value
+
+
+def _counts(text: str) -> tuple:
+    """argparse type: a comma list of non-negative integers."""
+    return tuple(_count(part) for part in _comma_list(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="procex",
@@ -153,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--task", required=True, help="MD, ER, RE, or CE")
     p.add_argument("--doc", help="single document id (default: whole dataset)")
-    p.add_argument("--shots", type=int, default=0, help="few-shot example count")
+    p.add_argument("--shots", type=_count, default=0, help="few-shot example count")
     p.add_argument("--out", help="output root for dataset runs")
     p.set_defaults(func=cmd_extract)
 
@@ -171,8 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset(p)
     add_llm(p)
     add_config(p)
-    p.add_argument("--tasks", help="comma list (default: the schema's tasks)")
-    p.add_argument("--shots", default="0,1,3", help="comma list of shot counts")
+    p.add_argument("--tasks", type=_comma_list,
+                   help="comma list (default: the schema's tasks)")
+    p.add_argument("--shots", type=_counts, default="0,1,3",
+                   help="comma list of shot counts")
     p.add_argument("--out", help="output root for run directories")
     p.set_defaults(func=cmd_grid)
 
@@ -181,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset(p)
     add_llm(p)
     add_config(p)
-    p.add_argument("--tasks", default="MD,RE", help="comma list of tasks")
+    p.add_argument("--tasks", type=_comma_list, default="MD,RE",
+                   help="comma list of tasks")
     p.add_argument("--out", help="directory for the ablation report")
     p.set_defaults(func=cmd_ablate)
 
@@ -345,19 +372,14 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _csv(text: str) -> list:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
 def cmd_grid(args) -> int:
     dataset = _load_dataset(args)
-    tasks = _csv(args.tasks) if args.tasks else list(dataset.schema.tasks)
+    tasks = args.tasks or list(dataset.schema.tasks)
     for task in tasks:
         _check_task(dataset, task)
-    shot_counts = tuple(int(n) for n in _csv(args.shots))
     client = _make_client(args)
     result = run_grid(
-        dataset, tasks=tasks, shot_counts=shot_counts, client=client,
+        dataset, tasks=tasks, shot_counts=args.shots, client=client,
         out_root=Path(_resolve(args, "out", "runs")),
         model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
         shot_seed=args.seed, fixed_shots=args.fixed_shots,
@@ -370,7 +392,7 @@ def cmd_grid(args) -> int:
 
 def cmd_ablate(args) -> int:
     dataset = _load_dataset(args)
-    tasks = _csv(args.tasks)
+    tasks = args.tasks
     for task in tasks:
         _check_task(dataset, task)
     client = _make_client(args)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 FORMAT_VERSION = 1
@@ -42,10 +42,12 @@ def normalize_type_name(name: str) -> str:
     return " ".join(name.replace("_", " ").casefold().split())
 
 
+PHRASE_EDGES = string.punctuation + string.whitespace
+
+
 def normalize_phrase(text: str) -> str:
     # case-fold, collapse whitespace, strip punctuation off the edges
-    collapsed = " ".join(text.casefold().split())
-    return collapsed.strip(string.punctuation + string.whitespace)
+    return " ".join(text.casefold().split()).strip(PHRASE_EDGES)
 
 
 @dataclass(frozen=True)
@@ -345,36 +347,50 @@ def encode_bio(mentions: list[Mention], token_count: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # Validation
 
+def _not_in_schema(names, canonical) -> set:
+    """The names that canonical resolves to None; none when there is no schema."""
+    return set() if canonical is None else {n for n in names if canonical(n) is None}
+
+
 def validate(doc: Document, schema: SchemaDescriptor | None = None) -> list[str]:
     """Return a list of invariant violations, [] when the document is clean."""
     problems: list[str] = []
-    n = len(doc.tokens)
-    for i, tok in enumerate(doc.tokens):
-        if tok.index != i:
-            problems.append(f"token {i}: index field says {tok.index}")
-    for a, b in zip(doc.tokens, doc.tokens[1:]):
-        if b.sentence_index < a.sentence_index:
-            problems.append(f"token {b.index}: sentence index decreases")
+    tokens = doc.tokens
+    n = len(tokens)
+    # whole-list comparisons find a clean document fast; messages come after
+    if list(map(attrgetter("index"), tokens)) != list(range(n)):
+        problems.extend(f"token {i}: index field says {tok.index}"
+                        for i, tok in enumerate(tokens) if tok.index != i)
+    sentences = list(map(attrgetter("sentence_index"), tokens))
+    if sentences != sorted(sentences):
+        problems.extend(f"token {b.index}: sentence index decreases"
+                        for a, b in zip(tokens, tokens[1:])
+                        if b.sentence_index < a.sentence_index)
 
     mention_ids = set()
     seen_typed_spans = set()
+    # each distinct type name is normalized and looked up once
+    type_keys = {name: normalize_type_name(name)
+                 for name in {m.mention_type for m in doc.mentions}}
+    unknown = _not_in_schema(type_keys, schema and schema.canonical_mention_type)
     for m in doc.mentions:
+        indices = m.token_indices
         if m.id in mention_ids:
             problems.append(f"duplicate mention id {m.id}")
         mention_ids.add(m.id)
-        if not m.token_indices:
+        if not indices:
             problems.append(f"mention {m.id}: empty span")
             continue
-        if any(i < 0 or i >= n for i in m.token_indices):
+        if min(indices) < 0 or max(indices) >= n:
             problems.append(f"mention {m.id}: token index out of range")
             continue
-        if any(b <= a for a, b in zip(m.token_indices, m.token_indices[1:])):
+        if len(indices) > 1 and list(indices) != sorted(set(indices)):
             problems.append(f"mention {m.id}: token indices not strictly increasing")
-        key = (normalize_type_name(m.mention_type), m.token_indices)
+        key = (type_keys[m.mention_type], indices)
         if key in seen_typed_spans:
             problems.append(f"mention {m.id}: duplicate (type, span)")
         seen_typed_spans.add(key)
-        if schema is not None and schema.canonical_mention_type(m.mention_type) is None:
+        if m.mention_type in unknown:
             problems.append(f"mention {m.id}: type {m.mention_type!r} not in schema")
 
     claimed: dict[str, str] = {}
@@ -394,14 +410,17 @@ def validate(doc: Document, schema: SchemaDescriptor | None = None) -> list[str]
                 claimed[mid] = e.id
 
     relation_ids = set()
+    unknown = _not_in_schema({r.relation_type for r in doc.relations},
+                             schema and schema.canonical_relation_type)
     for r in doc.relations:
         if r.id in relation_ids:
             problems.append(f"duplicate relation id {r.id}")
         relation_ids.add(r.id)
-        for end, mid in (("source", r.source_mention_id), ("target", r.target_mention_id)):
-            if mid not in mention_ids:
-                problems.append(f"relation {r.id}: dangling {end} mention id {mid}")
-        if schema is not None and schema.canonical_relation_type(r.relation_type) is None:
+        if r.source_mention_id not in mention_ids:
+            problems.append(f"relation {r.id}: dangling source mention id {r.source_mention_id}")
+        if r.target_mention_id not in mention_ids:
+            problems.append(f"relation {r.id}: dangling target mention id {r.target_mention_id}")
+        if r.relation_type in unknown:
             problems.append(f"relation {r.id}: type {r.relation_type!r} not in schema")
 
     constraint_ids = set()

@@ -148,8 +148,12 @@ def _score_by_key(pred_keys: list, gold_keys: list) -> TaskScores:
     )
 
 
-def _type_key(name: str, policy: MatchPolicy):
-    return normalize_type_name(name) if policy.type_sensitive else None
+def _type_keys(names, policy: MatchPolicy) -> dict:
+    """Each distinct type name's key: normalized, or None when type-blind."""
+    names = set(names)
+    if not policy.type_sensitive:
+        return dict.fromkeys(names)
+    return {name: normalize_type_name(name) for name in names}
 
 
 def _pred_span_key(indices, surface: str, policy: MatchPolicy):
@@ -175,15 +179,18 @@ def score_md(pred: list, gold: list, policy: MatchPolicy | None = None,
     if policy.span_mode == "text_match" and doc is None:
         raise ValueError("text_match scoring needs the source document")
 
+    type_key = _type_keys([getattr(p, "mention_type", "") for p in pred]
+                          + [g.mention_type for g in gold], policy)
+
     def pred_key(p):
         grounded = isinstance(p, GroundedMention)
-        return (_type_key(getattr(p, "mention_type", ""), policy),
+        return (type_key[getattr(p, "mention_type", "")],
                 _pred_span_key(p.token_indices if grounded else None,
                                p.matched_surface if grounded else p.surface,
                                policy))
 
     gold_keys = [
-        (_type_key(g.mention_type, policy), _gold_span_key(g, doc, policy))
+        (type_key[g.mention_type], _gold_span_key(g, doc, policy))
         for g in gold
     ]
     return _score_by_key([pred_key(p) for p in pred], gold_keys)
@@ -221,15 +228,16 @@ def score_re(pred: list, gold: list, doc: Document,
     """Score directed relations; reversed endpoints do not count."""
     policy = policy or MatchPolicy()
     mmap = doc.mention_map()
+    type_key = _type_keys([r.relation_type for r in (*pred, *gold)], policy)
 
     pred_keys = [
-        (_type_key(p.relation_type, policy),
+        (type_key[p.relation_type],
          _pred_span_key(p.source_indices, p.source_surface, policy),
          _pred_span_key(p.target_indices, p.target_surface, policy))
         for p in pred
     ]
     gold_keys = [
-        (_type_key(g.relation_type, policy),
+        (type_key[g.relation_type],
          _gold_span_key(mmap[g.source_mention_id], doc, policy),
          _gold_span_key(mmap[g.target_mention_id], doc, policy))
         for g in gold

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 
 from .corpus import (
+    PHRASE_EDGES,
     Document,
     LoadError,
     SchemaDescriptor,
@@ -176,13 +179,16 @@ def parse(raw: str, task: str, schema: SchemaDescriptor) -> ParseReport:
                        ignored_line_count=ignored)
 
 
-def _is_wordlike(text: str) -> bool:
-    return any(ch.isalnum() for ch in text)
+# same truth value as any(ch.isalnum() for ch in text)
+_is_wordlike = re.compile(r"[^\W_]").search
 
 
 class WindowIndex:
     """The token windows of one document, keyed by normalized text.
 
+    Each token is normalized once (case-folded, whitespace collapsed);
+    a window's key joins its tokens' non-empty pieces and strips edge
+    punctuation, which equals normalize_phrase of the window's text.
     Windows of one width are indexed the first time a surface of that
     width is grounded; only windows whose first and last tokens are
     wordlike go in.  Each key maps to its start positions in ascending
@@ -191,40 +197,60 @@ class WindowIndex:
 
     def __init__(self, doc: Document):
         self.words = [t.text for t in doc.tokens]
-        self.wordlike = [_is_wordlike(w) for w in self.words]
+        self.wordlike = [_is_wordlike(w) is not None for w in self.words]
+        self._pieces = [" ".join(w.casefold().split()) for w in self.words]
+        self._gaps = not all(self._pieces)  # a token of whitespace only
         self._by_width: dict = {}
+        self._targets: dict = {}  # surface -> (normalized text, width)
 
-    def _starts(self, target: str, width: int):
+    def _table(self, width: int) -> dict:
         table = self._by_width.get(width)
         if table is None:
-            table = {}
-            words, wordlike = self.words, self.wordlike
-            for start in range(len(words) - width + 1):
-                if wordlike[start] and wordlike[start + width - 1]:
-                    key = normalize_phrase(" ".join(words[start:start + width]))
-                    table.setdefault(key, []).append(start)
-            self._by_width[width] = table
-        return table.get(target, ())
+            table = self._by_width[width] = {}
+            pieces, gaps = self._pieces, self._gaps
+            # starts whose first and last tokens are both wordlike
+            starts = compress(range(len(pieces) - width + 1),
+                              map(and_, self.wordlike, self.wordlike[width - 1:]))
+            for start in starts:
+                key = " ".join(pieces[start:start + width])
+                if gaps:
+                    key = " ".join(key.split())
+                table.setdefault(key.strip(PHRASE_EDGES), []).append(start)
+        return table
 
-    def ground(self, parsed: ParsedMention, used_tokens: set):
-        """Ground one surface to the first window with no token in used_tokens.
+    def find(self, surface: str, used_tokens: set):
+        """(start, width) of the first window matching surface with no
+        token in used_tokens, or None.
 
         The window's tokens are added to used_tokens.
         """
-        target = normalize_phrase(parsed.surface)
-        if not target:
+        target = self._targets.get(surface)
+        if target is None:
+            text = normalize_phrase(surface)
+            target = self._targets[surface] = (text, len(text.split()))
+        text, width = target
+        if not text:
             return None
-        width = len(target.split())
-        for start in self._starts(target, width):
+        for start in self._table(width).get(text, ()):
+            if start in used_tokens:  # a window claimed before
+                continue
             span = range(start, start + width)
             if used_tokens.isdisjoint(span):
                 used_tokens.update(span)
-                return GroundedMention(
-                    mention_type=parsed.mention_type,
-                    token_indices=tuple(span),
-                    matched_surface=" ".join(self.words[start:start + width]),
-                )
+                return start, width
         return None
+
+    def ground(self, mention_type: str, surface: str, used_tokens: set):
+        """A GroundedMention for the window find claims, or None."""
+        hit = self.find(surface, used_tokens)
+        if hit is None:
+            return None
+        start, width = hit
+        return GroundedMention(
+            mention_type=mention_type,
+            token_indices=tuple(range(start, start + width)),
+            matched_surface=" ".join(self.words[start:start + width]),
+        )
 
 
 def ground(parsed: ParsedMention, doc: Document, used: set):
@@ -232,7 +258,8 @@ def ground(parsed: ParsedMention, doc: Document, used: set):
 
     ``used`` is a set of token-index spans; the grounded span is added.
     """
-    hit = WindowIndex(doc).ground(parsed, {i for span in used for i in span})
+    hit = WindowIndex(doc).ground(parsed.mention_type, parsed.surface,
+                                  {i for span in used for i in span})
     if hit is not None:
         used.add(hit.token_indices)
     return hit
@@ -247,7 +274,7 @@ def ground_report(report: ParseReport, doc: Document):
     for item in report.items:
         if not isinstance(item, ParsedMention):
             continue
-        hit = index.ground(item, used)
+        hit = index.ground(item.mention_type, item.surface, used)
         if hit is None:
             ungrounded.append(item)
         else:
@@ -266,13 +293,17 @@ def ground_clusters(report: ParseReport, doc: Document):
             continue
         members: list = []
         for surface in item.surfaces:
-            hit = index.ground(ParsedMention("entity", surface), used)
+            hit = index.ground("entity", surface, used)
             if hit is None:
                 ungrounded.append(surface)
             else:
                 members.append(hit)
         clusters.append(tuple(members))
     return clusters, ungrounded
+
+
+def _span(hit):
+    return None if hit is None else tuple(range(hit[0], hit[0] + hit[1]))
 
 
 def ground_relations(report: ParseReport, doc: Document):
@@ -283,14 +314,14 @@ def ground_relations(report: ParseReport, doc: Document):
         if not isinstance(item, ParsedRelation):
             continue
         used: set = set()
-        src = index.ground(ParsedMention("", item.source_surface), used)
-        tgt = index.ground(ParsedMention("", item.target_surface), used)
+        src = index.find(item.source_surface, used)
+        tgt = index.find(item.target_surface, used)
         out.append(
             GroundedRelation(
                 relation_type=item.relation_type,
-                source_indices=None if src is None else src.token_indices,
+                source_indices=_span(src),
                 source_surface=item.source_surface,
-                target_indices=None if tgt is None else tgt.token_indices,
+                target_indices=_span(tgt),
                 target_surface=item.target_surface,
             )
         )

@@ -580,6 +580,6 @@ def run_agents(doc: Document, mention_types, config: PromptConfig,
         for item in report.items:
             if not isinstance(item, ParsedMention):
                 continue
-            hit = index.ground(item, used)
+            hit = index.ground(item.mention_type, item.surface, used)
             combined.append(hit if hit is not None else item)
     return combined

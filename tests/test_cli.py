@@ -91,6 +91,26 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "error: usage:" in capsys.readouterr().err
 
 
+BAD_LIST_AND_COUNT_FLAGS = {
+    "grid-shots-not-a-number": ["grid", "--shots", "0,x"],
+    "extract-shots-negative": ["extract", "--task", "MD", "--shots", "-2"],
+    "grid-shots-empty-list": ["grid", "--shots", ","],
+    "ablate-tasks-empty-list": ["ablate", "--tasks", ","],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_LIST_AND_COUNT_FLAGS.values(),
+                         ids=BAD_LIST_AND_COUNT_FLAGS.keys())
+def test_bad_list_or_count_flag_is_usage_error(argv, capsys, tmp_path):
+    code = main(argv + ["--dataset", str(DATA / "pet.jsonl"), "--mode", "replay",
+                        "--cache", str(tmp_path / "none"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: usage: argument ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_dataset_file_is_data_error(capsys, tmp_path):
     code = main(["extract", "--dataset", str(tmp_path / "no.jsonl"),
                  "--task", "MD", "--mode", "replay"])

@@ -154,6 +154,100 @@ def test_validate_flags_unnormalized_action():
     assert any("not normalized" in p for p in corpus.validate(doc))
 
 
+def reference_validate(doc, schema=None):
+    """Per-item validation of tokens, mentions, entities and relations:
+    every type name normalized and every schema lookup made per item."""
+    problems = []
+    n = len(doc.tokens)
+    for i, tok in enumerate(doc.tokens):
+        if tok.index != i:
+            problems.append(f"token {i}: index field says {tok.index}")
+    for a, b in zip(doc.tokens, doc.tokens[1:]):
+        if b.sentence_index < a.sentence_index:
+            problems.append(f"token {b.index}: sentence index decreases")
+    mention_ids, seen_typed_spans = set(), set()
+    for m in doc.mentions:
+        if m.id in mention_ids:
+            problems.append(f"duplicate mention id {m.id}")
+        mention_ids.add(m.id)
+        if not m.token_indices:
+            problems.append(f"mention {m.id}: empty span")
+            continue
+        if any(i < 0 or i >= n for i in m.token_indices):
+            problems.append(f"mention {m.id}: token index out of range")
+            continue
+        if any(b <= a for a, b in zip(m.token_indices, m.token_indices[1:])):
+            problems.append(f"mention {m.id}: token indices not strictly increasing")
+        key = (corpus.normalize_type_name(m.mention_type), m.token_indices)
+        if key in seen_typed_spans:
+            problems.append(f"mention {m.id}: duplicate (type, span)")
+        seen_typed_spans.add(key)
+        if schema is not None and schema.canonical_mention_type(m.mention_type) is None:
+            problems.append(f"mention {m.id}: type {m.mention_type!r} not in schema")
+    claimed, entity_ids = {}, set()
+    for e in doc.entities:
+        if e.id in entity_ids:
+            problems.append(f"duplicate entity id {e.id}")
+        entity_ids.add(e.id)
+        if not e.mention_ids:
+            problems.append(f"entity {e.id}: empty cluster")
+        for mid in e.mention_ids:
+            if mid not in mention_ids:
+                problems.append(f"entity {e.id}: dangling mention id {mid}")
+            elif mid in claimed:
+                problems.append(f"entity {e.id}: mention {mid} already in entity {claimed[mid]}")
+            else:
+                claimed[mid] = e.id
+    relation_ids = set()
+    for r in doc.relations:
+        if r.id in relation_ids:
+            problems.append(f"duplicate relation id {r.id}")
+        relation_ids.add(r.id)
+        for end, mid in (("source", r.source_mention_id), ("target", r.target_mention_id)):
+            if mid not in mention_ids:
+                problems.append(f"relation {r.id}: dangling {end} mention id {mid}")
+        if schema is not None and schema.canonical_relation_type(r.relation_type) is None:
+            problems.append(f"relation {r.id}: type {r.relation_type!r} not in schema")
+    return problems
+
+
+# type names that differ only in case, separators and spacing, plus unknown ones
+TYPE_NAMES = ["Actor", "actor", "ACTOR ", "Activity", "activity data",
+              "Activity_Data", "XOR Gateway", "xor_gateway", "Nonsense", ""]
+RELATION_TYPES = ["flow", "Flow", "actor performer", "Actor_Performer", "nope"]
+
+
+@st.composite
+def damaged_documents(draw):
+    """Documents with duplicate typed spans and ids, out-of-range, unordered
+    and repeated indices, wrong token indices and sentence order, and
+    dangling or shared mention ids."""
+    n = draw(st.integers(0, 6))
+    tokens = tuple(
+        Token("w", draw(st.sampled_from([i, i, i, i + 1])), draw(st.integers(0, 2)))
+        for i in range(n)
+    )
+    ids = st.sampled_from(["m0", "m1", "m2", "m3", "m9"])
+    mentions = draw(st.lists(st.builds(
+        Mention, ids, st.sampled_from(TYPE_NAMES),
+        st.lists(st.integers(-1, n), max_size=3).map(tuple)), max_size=8))
+    entities = draw(st.lists(st.builds(
+        Entity, st.sampled_from(["e0", "e1"]), st.frozensets(ids, max_size=3)), max_size=3))
+    relations = draw(st.lists(st.builds(
+        Relation, st.sampled_from(["r0", "r1"]), st.sampled_from(RELATION_TYPES),
+        ids, ids), max_size=4))
+    return Document(id="damaged", raw_text="", tokens=tokens, mentions=tuple(mentions),
+                    entities=tuple(entities), relations=tuple(relations))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=damaged_documents())
+def test_validate_reports_what_per_item_validation_reports(doc):
+    schema = corpus.load_schema("pet")
+    assert corpus.validate(doc) == reference_validate(doc)
+    assert corpus.validate(doc, schema) == reference_validate(doc, schema)
+
+
 # ---------------------------------------------------------------------------
 # Shape checks on decoded JSON
 

@@ -1,5 +1,6 @@
 """Parser and grounding tests."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -300,10 +301,13 @@ def scan_ground_relations(report, doc):
 
 
 # punctuation-only tokens, edge punctuation, mixed case, casefold
-# expansions (ß folds to ss) and whitespace inside a token
+# expansions (ß folds to ss, ﬁ to fi, İ to i plus a combining dot),
+# final and non-final sigma, and whitespace inside a token or as one
+# (tab, no-break space, ideographic space)
 WORDS = ["the", "The", "THE", "claim", "Claim.", "(claim", "claim)", ",", ".",
          "--", "...", "straße", "STRASSE", "strasse", "ß", "SS", "a b",
-         "new\tline", "x", "X!", "", " ", "he"]
+         "new\tline", "x", "X!", "", " ", "he", "Σ", "ς", "\xa0", "İ", "ﬁ",
+         "\u3000"]
 
 
 @st.composite
@@ -353,6 +357,14 @@ def test_window_index_grounds_like_the_scan(case):
         assert indexed == scanned
 
 
+def test_is_wordlike_matches_isalnum_on_every_code_point():
+    mismatched = [hex(c) for c in range(0x110000)
+                  if (parser._is_wordlike(chr(c)) is not None) != chr(c).isalnum()]
+    assert mismatched == []
+    for text in ("", "--", "_", "a_", "(x)", "\u3000", " 1 "):
+        assert (parser._is_wordlike(text) is not None) == any(ch.isalnum() for ch in text)
+
+
 def concatenated(documents, k):
     """One document holding ``documents`` k times over, mentions shifted."""
     tokens, mentions = [], []
@@ -386,6 +398,22 @@ def test_grounding_cost_grows_linearly(pet, pet_schema, monkeypatch):
         assert len(grounded) == len(doc.mentions) and not ungrounded
         counts.append(calls[0])
     assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_grounding_normalizes_each_distinct_surface_once(pet, pet_schema, monkeypatch):
+    calls = Counter()
+
+    def counted(text):
+        calls[text] += 1
+        return normalize_phrase(text)
+
+    monkeypatch.setattr(parser, "normalize_phrase", counted)
+    doc = concatenated(pet.documents, 2)
+    report = parse("\n".join(render_gold(doc, "MD")), "MD", pet_schema)
+    grounded, ungrounded = ground_report(report, doc)
+    assert len(grounded) == len(doc.mentions) and not ungrounded
+    assert set(calls) <= {item.surface for item in report.items}
+    assert max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------
