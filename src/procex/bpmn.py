@@ -168,11 +168,6 @@ def _left_neighbours(mentions, candidates):
             yield m, nearest
 
 
-def nearest_left_actor(doc: Document, schema: SchemaDescriptor, token_index: int):
-    """Closest actor mention fully left of token_index (see _nearest_left_index)."""
-    return _nearest_left_index(_mentions_by_role(doc, schema)["actor"])(token_index)
-
-
 # ---------------------------------------------------------------------------
 # consolidation
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -132,6 +133,19 @@ def _count(text: str) -> int:
     return value
 
 
+def _seconds(text: str) -> float:
+    """argparse type: a finite number of seconds >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"seconds must be finite and >= 0, got {text!r}"
+        )
+    return value
+
+
 def _counts(text: str) -> tuple:
     """argparse type: a comma list of non-negative integers."""
     return tuple(_count(part) for part in _comma_list(text))
@@ -229,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("action", choices=["list", "purge"])
     p.add_argument("--cache", help="response cache directory")
-    p.add_argument("--older-than", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--older-than", type=_seconds, default=None, metavar="SECONDS",
                    help="purge only entries older than this many seconds")
     p.set_defaults(func=cmd_cache)
 
@@ -302,7 +316,7 @@ def cmd_extract(args) -> int:
     client = _make_client(args)
     if args.doc is not None:
         doc = dataset.document(args.doc)
-        report, predictions, rendered = extract_document(
+        _, _, report, predictions = extract_document(
             doc, config, client, shot_pool=dataset.documents,
             model_id=model_id, fixed_shots=args.fixed_shots,
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -85,35 +84,6 @@ def cache_key(request: ChatRequest) -> CacheKey:
         ensure_ascii=False,
     )
     return CacheKey(hashlib.sha256(payload.encode("utf-8")).hexdigest())
-
-
-def stub_provider(rules):
-    """Provider answering with the first rule whose pattern matches.
-
-    A pattern starting with ``^`` is an anchored regular expression,
-    anything else a literal substring. No match answers "".
-    """
-    compiled = []
-    for pattern, response_text in rules:
-        if pattern.startswith("^"):
-            compiled.append((re.compile(pattern).search, response_text))
-        else:
-            compiled.append((lambda text, p=pattern: p in text, response_text))
-
-    def complete(request: ChatRequest) -> ChatResponse:
-        text = ""
-        for matches, response_text in compiled:
-            if matches(request.prompt_text):
-                text = response_text
-                break
-        return ChatResponse(
-            text=text,
-            input_token_count=len(request.prompt_text.split()),
-            output_token_count=len(text.split()),
-            provider_name="stub",
-        )
-
-    return complete
 
 
 class HttpProvider:

@@ -253,18 +253,6 @@ class WindowIndex:
         )
 
 
-def ground(parsed: ParsedMention, doc: Document, used: set):
-    """Ground one surface to the first unused matching token window.
-
-    ``used`` is a set of token-index spans; the grounded span is added.
-    """
-    hit = WindowIndex(doc).ground(parsed.mention_type, parsed.surface,
-                                  {i for span in used for i in span})
-    if hit is not None:
-        used.add(hit.token_indices)
-    return hit
-
-
 def ground_report(report: ParseReport, doc: Document):
     """Ground every ParsedMention item with one shared used set."""
     index = WindowIndex(doc)
@@ -376,14 +364,3 @@ def item_from_record(record: dict, what: str = "item"):
         return ParsedRelation(r["type"], r["source"], r["target"])
     return ParsedConstraint(r["type"], r["negated"], tuple(r["actions"]))
 
-
-def report_to_record(report: ParseReport) -> dict:
-    return {
-        "items": [item_to_record(i) for i in report.items],
-        "error_lines": [
-            {"line": e.line_number, "raw": e.raw, "reason": e.reason}
-            for e in report.error_lines
-        ],
-        "error_count": report.error_count,
-        "ignored_line_count": report.ignored_line_count,
-    }

@@ -3,8 +3,7 @@
 Runs the extraction loop over whole datasets: render a prompt per
 document, complete it through the caching client, parse and ground
 the response, score against gold.  The grid runner sweeps shot
-counts, the ablation runner sweeps prompt variants, and the agent
-runner chains per-type prompts that feed each other's findings.
+counts and the ablation runner sweeps prompt variants.
 
 Every dataset-level run leaves a directory under the output root
 named by its manifest id, holding the manifest, all prompts and raw
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .corpus import Dataset, Document, SchemaDescriptor
+from .corpus import Dataset, Document
 from .eval import (
     MatchPolicy,
     TaskScores,
@@ -36,9 +35,7 @@ from .eval import (
 from .llm import CachingClient, ChatRequest
 from .parser import (
     ParsedConstraint,
-    ParsedMention,
     ParseReport,
-    WindowIndex,
     ground_clusters,
     ground_relations,
     ground_report,
@@ -177,28 +174,20 @@ def _document_config(config: PromptConfig, doc_id: str,
     return config.replace(shot_seed=per_document_seed(config.shot_seed, doc_id))
 
 
-def _extract_full(doc, config, client, shot_pool, template, model_id,
-                  fixed_shots):
+def extract_document(doc: Document, config: PromptConfig, client: CachingClient,
+                     shot_pool=(), *, template: dict | None = None,
+                     model_id: str = DEFAULT_MODEL_ID, fixed_shots: bool = False):
+    """Prompt, complete, parse, ground one document.
+
+    Returns the rendered prompt, the response, the parse report and the
+    task-shaped predictions.
+    """
     cfg = _document_config(config, doc.id, fixed_shots)
     rendered = assemble(cfg, doc, shot_pool, template)
     response = client.complete(ChatRequest(model_id, rendered.text))
     report = parse(response.text, config.task, config.schema)
     predictions = _predictions_for(config.task, report, doc)
     return rendered, response, report, predictions
-
-
-def extract_document(doc: Document, config: PromptConfig, client: CachingClient,
-                     shot_pool=(), *, template: dict | None = None,
-                     model_id: str = DEFAULT_MODEL_ID, fixed_shots: bool = False):
-    """Prompt, complete, parse, ground one document.
-
-    Returns the parse report, the task-shaped predictions, and the
-    rendered prompt.
-    """
-    rendered, _, report, predictions = _extract_full(
-        doc, config, client, shot_pool, template, model_id, fixed_shots
-    )
-    return report, predictions, rendered
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +230,10 @@ def _run_over_documents(dataset, config, client, template, model_id,
     docs = list(dataset.documents)
 
     def extract(doc):
-        return (doc,) + _extract_full(doc, config, client, docs, template,
-                                      model_id, fixed_shots)
+        return (doc,) + extract_document(
+            doc, config, client, docs, template=template, model_id=model_id,
+            fixed_shots=fixed_shots,
+        )
 
     # the client's own limit bounds provider calls; more threads would wait
     with concurrent.futures.ThreadPoolExecutor(
@@ -522,64 +513,3 @@ def render_ablation_table(report: AblationReport) -> str:
             )
         out.append("")
     return "\n".join(out) + ("\n" if out else "")
-
-
-# ---------------------------------------------------------------------------
-# per-type agents
-
-OUTPUT_MARKER = "Output:\n"
-
-
-def _grammar_line(prediction) -> str:
-    surface = (
-        prediction.matched_surface
-        if hasattr(prediction, "matched_surface") else prediction.surface
-    )
-    return f"{prediction.mention_type.lower()}|{surface}"
-
-
-def _restrict_schema(schema: SchemaDescriptor, mention_type: str):
-    canonical = schema.canonical_mention_type(mention_type)
-    if canonical is None:
-        raise ValueError(f"unknown mention type {mention_type!r}")
-    return dataclasses.replace(schema, mention_types=(canonical,))
-
-
-def run_agents(doc: Document, mention_types, config: PromptConfig,
-               client: CachingClient, shot_pool=(), *,
-               template: dict | None = None,
-               model_id: str = DEFAULT_MODEL_ID,
-               fixed_shots: bool = False):
-    """Chain one specialized prompt per mention type.
-
-    Each agent sees the grounded findings of the agents before it,
-    spliced into its prompt in the output grammar.  Returns the union
-    of all grounded (and ungrounded) mentions.
-    """
-    if not mention_types:
-        raise ValueError("agent pipeline needs at least one mention type")
-    if template is None:
-        template = load_template()
-
-    index = WindowIndex(doc)
-    used: set = set()
-    combined: list = []
-    for mention_type in mention_types:
-        schema = _restrict_schema(config.schema, mention_type)
-        agent_config = _document_config(
-            config.replace(task="MD", schema=schema), doc.id, fixed_shots
-        )
-        rendered = assemble(agent_config, doc, shot_pool, template)
-        text = rendered.text
-        if combined:
-            already = "\n".join(_grammar_line(p) for p in combined)
-            head, sep, _ = text.rpartition(OUTPUT_MARKER)
-            text = f"{head}Already extracted:\n{already}\n{sep}"
-        response = client.complete(ChatRequest(model_id, text))
-        report = parse(response.text, "MD", schema)
-        for item in report.items:
-            if not isinstance(item, ParsedMention):
-                continue
-            hit = index.ground(item.mention_type, item.surface, used)
-            combined.append(hit if hit is not None else item)
-    return combined

@@ -32,6 +32,7 @@ from procex.bpmn import (
     ProcessGraph,
     SequenceFlow,
     _escape,
+    _mentions_by_role,
     _nearest_left_index,
     _quoteattr,
     build_vertices,
@@ -39,7 +40,6 @@ from procex.bpmn import (
     consolidate,
     layout,
     link,
-    nearest_left_actor,
     parse_bpmn,
     serialize_bpmn,
     validate_graph,
@@ -80,6 +80,11 @@ def make_doc(doc_id, sentences, mentions, entities=(), relations=()):
         entities=tuple(Entity(eid, frozenset(ids)) for eid, ids in entities),
         relations=tuple(Relation(rid, rtype, s, t) for rid, rtype, s, t in relations),
     )
+
+
+def nearest_left_actor(doc, schema, token_index):
+    """Closest actor mention fully left of token_index, as compile sees it."""
+    return _nearest_left_index(_mentions_by_role(doc, schema)["actor"])(token_index)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Happy paths record a response cache programmatically with a gold
 echoing stub, then drive the CLI in replay mode against it.
 """
 
+import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +155,29 @@ def test_cli_import_loads_no_network_or_bpmn_code():
                             text=True, env={**os.environ, "PYTHONPATH": src},
                             check=True)
     assert result.stdout.strip() == ""
+
+
+def test_every_public_name_has_a_use_outside_tests():
+    # a name seen only where it is defined is reached by tests alone
+    root = DATA.parent
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for pattern in ("src/procex/*.py", "tools/*.py", "perfbench/*.py",
+                        "README.md")
+        for path in sorted(root.glob(pattern))
+    )
+    unused = []
+    for short in ("corpus", "prompt", "llm", "parser", "eval", "pipeline",
+                  "bpmn", "cli"):
+        module = importlib.import_module(f"procex.{short}")
+        unused += [
+            f"{short}.{name}" for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+            and len(re.findall(rf"\b{name}\b", text)) < 2
+        ]
+    assert unused == []
 
 
 def record_one_entry(pet, cache_dir):
@@ -505,6 +531,18 @@ def test_cache_list_and_purge(pet, capsys, tmp_path):
     assert main(["cache", "purge", "--cache", str(cache)]) == 0
     assert f"removed {entry_count}" in capsys.readouterr().out
     assert list(cache.glob("*.json")) == []
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-1"])
+def test_purge_rejects_non_finite_or_negative_age(seconds, pet, capsys, tmp_path):
+    cache = tmp_path / "cache"
+    entry = record_one_entry(pet, cache)
+    assert main(["cache", "purge", "--cache", str(cache),
+                 "--older-than", seconds]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: usage: argument ")
+    assert entry.is_file()
 
 
 # ---------------------------------------------------------------------------

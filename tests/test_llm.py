@@ -1,4 +1,4 @@
-"""LLM client tests: caching, replay, stubbing, retries, transport."""
+"""LLM client tests: caching, replay, retries, transport."""
 
 import json
 import threading
@@ -16,7 +16,6 @@ from procex.llm import (
     ReplayMissError,
     TransientProviderError,
     cache_key,
-    stub_provider,
 )
 
 
@@ -124,38 +123,6 @@ def test_record_mode_requires_provider(tmp_path):
         CachingClient(tmp_path, None, "record")
     with pytest.raises(ValueError):
         CachingClient(tmp_path, SpyProvider(), "sometimes")
-
-
-# ---------------------------------------------------------------------------
-# stub provider
-
-def test_stub_literal_and_fallback():
-    provider = stub_provider([("Input: A claim", "actor|a claims officer")])
-    hit = provider(make_request("...\nInput: A claim arrives"))
-    assert hit.text == "actor|a claims officer"
-    miss = provider(make_request("something else"))
-    assert miss.text == ""
-    assert miss.provider_name == "stub"
-
-
-def test_stub_anchored_regex():
-    provider = stub_provider([("^You are", "matched start")])
-    assert provider(make_request("You are an analyst")).text == "matched start"
-    assert provider(make_request("Later, You are here")).text == ""
-
-
-def test_stub_first_match_wins():
-    provider = stub_provider([
-        ("claim", "first"),
-        ("claim arrives", "second"),
-    ])
-    assert provider(make_request("a claim arrives")).text == "first"
-
-
-def test_stub_deterministic_at_temperature_zero():
-    provider = stub_provider([("x", "fixed answer")])
-    texts = {provider(make_request("x marks")).text for _ in range(5)}
-    assert texts == {"fixed answer"}
 
 
 # ---------------------------------------------------------------------------

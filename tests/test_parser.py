@@ -16,7 +16,7 @@ from procex.parser import (
     ParseReport,
     GroundedMention,
     GroundedRelation,
-    ground,
+    WindowIndex,
     ground_clusters,
     ground_relations,
     ground_report,
@@ -178,6 +178,18 @@ def test_parse_total_and_accounting(raw):
 
 # ---------------------------------------------------------------------------
 # ground
+
+def ground(parsed: ParsedMention, doc: Document, used: set):
+    """Ground one surface to the first unused matching token window.
+
+    ``used`` is a set of token-index spans; the grounded span is added.
+    """
+    hit = WindowIndex(doc).ground(parsed.mention_type, parsed.surface,
+                                  {i for span in used for i in span})
+    if hit is not None:
+        used.add(hit.token_indices)
+    return hit
+
 
 def test_ground_case_fold_match():
     doc = make_doc(["A", "claims", "officer", "registers", "."])
@@ -501,14 +513,3 @@ def test_gold_round_trip_ce():
                 for c in doc.constraints
             }
             assert got == want, doc.id
-
-
-def test_report_serialization_round_trip(pet_schema):
-    raw = "activity|registers\nbroken line\nFacts:\nprose"
-    report = parse(raw, "MD", pet_schema)
-    record = parser.report_to_record(report)
-    assert record["error_count"] == report.error_count
-    assert record["items"][0] == {
-        "kind": "mention", "type": "Activity", "surface": "registers",
-    }
-    assert record["error_lines"][0]["reason"] == "bad field count"

@@ -22,7 +22,6 @@ from procex.pipeline import (
     per_document_seed,
     render_grid_table,
     run_ablation,
-    run_agents,
     run_cell,
     run_grid,
 )
@@ -79,7 +78,7 @@ def md_config(dataset, **kw):
 def test_extract_gold_echo_scores_one(pet, tmp_path):
     doc = pet.documents[0]
     client = echo_client(pet, tmp_path)
-    report, predictions, rendered = extract_document(
+    _, _, report, predictions = extract_document(
         doc, md_config(pet), client
     )
     assert report.error_count == 0
@@ -95,7 +94,7 @@ def test_extract_empty_response(pet, tmp_path):
         tmp_path / "c", lambda req: ChatResponse("", 0, 0, "empty"),
         mode="record",
     )
-    report, predictions, rendered = extract_document(
+    _, _, report, predictions = extract_document(
         pet.documents[0], md_config(pet), client
     )
     assert report.items == ()
@@ -106,7 +105,7 @@ def test_extract_empty_response(pet, tmp_path):
 def test_extract_never_includes_target_as_shot(pet, tmp_path):
     client = echo_client(pet, tmp_path)
     for doc in pet.documents[:6]:
-        _, _, rendered = extract_document(
+        rendered, _, _, _ = extract_document(
             doc, md_config(pet, shot_count=3), client, shot_pool=pet.documents
         )
         assert doc.id not in rendered.shot_ids
@@ -312,103 +311,3 @@ def test_ablation_persists_table(decon, tmp_path):
     assert "Very Short Prompt" in text
     saved = json.loads((out / "ablation.json").read_text())
     assert len(saved["rows"]) == len(report.rows)
-
-
-# ---------------------------------------------------------------------------
-# agents
-
-def agent_doc():
-    words = "The clerk registers the claim .".split()
-    tokens = tuple(
-        corpus.Token(w, i, 0) for i, w in enumerate(words)
-    )
-    return corpus.Document(
-        id="agent-1",
-        raw_text=" ".join(words),
-        tokens=tokens,
-        mentions=(
-            corpus.Mention("m0", "Actor", (0, 1)),
-            corpus.Mention("m1", "Activity", (2,)),
-            corpus.Mention("m2", "Activity Data", (3, 4)),
-        ),
-    )
-
-
-def test_agents_pass_predictions_forward(pet, tmp_path):
-    doc = agent_doc()
-    seen = []
-
-    def provider(request):
-        seen.append(request.prompt_text)
-        if "Already extracted:" not in request.prompt_text:
-            return ChatResponse("activity|registers", 0, 0, "stub")
-        return ChatResponse("actor|The clerk", 0, 0, "stub")
-
-    client = CachingClient(tmp_path / "c", provider, mode="record")
-    config = PromptConfig(task="MD", schema=pet.schema)
-    combined = run_agents(doc, ["Activity", "Actor"], config, client)
-    assert len(seen) == 2
-    assert "Already extracted:\nactivity|registers\n" in seen[1]
-    assert seen[1].rstrip().endswith("Output:")
-    spans = sorted(p.token_indices for p in combined)
-    assert spans == [(0, 1), (2,)]
-
-
-def test_agents_single_type_matches_plain_extraction(pet, tmp_path):
-    doc = agent_doc()
-
-    def provider(request):
-        return ChatResponse("activity|registers", 0, 0, "stub")
-
-    client = CachingClient(tmp_path / "c", provider, mode="record")
-    config = PromptConfig(task="MD", schema=pet.schema)
-    combined = run_agents(doc, ["Activity"], config, client)
-    restricted = config.replace(
-        schema=pipeline._restrict_schema(pet.schema, "Activity")
-    )
-    client2 = CachingClient(tmp_path / "c2", provider, mode="record")
-    _, plain, _ = extract_document(doc, restricted, client2)
-    assert combined == plain
-
-
-def test_agents_empty_first_agent(pet, tmp_path):
-    doc = agent_doc()
-
-    def provider(request):
-        if "Already extracted:" in request.prompt_text:
-            raise AssertionError("no findings should have been passed")
-        if "actor" in request.prompt_text.rsplit("Input:", 1)[0].lower():
-            return ChatResponse("actor|The clerk", 0, 0, "stub")
-        return ChatResponse("", 0, 0, "stub")
-
-    client = CachingClient(tmp_path / "c", provider, mode="record")
-    config = PromptConfig(task="MD", schema=pet.schema)
-    combined = run_agents(doc, ["Activity", "Actor"], config, client)
-    assert [p.mention_type for p in combined] == ["Actor"]
-
-
-def test_agents_later_agent_cannot_reemit_earlier_types(pet, tmp_path):
-    doc = agent_doc()
-
-    def provider(request):
-        if "Already extracted:" in request.prompt_text:
-            # tries to smuggle an activity line past the actor agent
-            return ChatResponse("activity|registers\nactor|The clerk", 0, 0, "s")
-        return ChatResponse("activity|registers", 0, 0, "s")
-
-    client = CachingClient(tmp_path / "c", provider, mode="record")
-    config = PromptConfig(task="MD", schema=pet.schema)
-    combined = run_agents(doc, ["Activity", "Actor"], config, client)
-    assert sorted(p.mention_type for p in combined) == ["Activity", "Actor"]
-    assert len(combined) == 2  # the smuggled duplicate was rejected
-
-
-def test_agents_unknown_type_rejected(pet, tmp_path):
-    client = CachingClient(
-        tmp_path / "c", lambda r: ChatResponse("", 0, 0, "s"), mode="record"
-    )
-    config = PromptConfig(task="MD", schema=pet.schema)
-    with pytest.raises(ValueError):
-        run_agents(agent_doc(), ["Nonsense Type"], config, client)
-    with pytest.raises(ValueError):
-        run_agents(agent_doc(), [], config, client)
