@@ -38,7 +38,6 @@ UNASSIGNED_LANE_LABEL = "unassigned"
 class Lane:
     id: str
     label: str
-    actor_entity_id: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class DataAssociation:
     id: str
     data_object: str
     task: str
-    direction: str = "input"
 
 
 @dataclass(frozen=True)
@@ -293,8 +291,8 @@ def consolidate(doc: Document, schema: SchemaDescriptor) -> Document:
 def _clusters(doc: Document, role_mentions):
     """Entities of one role's mentions plus singletons, by first occurrence.
 
-    Returns (entity or mention id, mentions) pairs; an entity belongs
-    to the role iff all its members do.
+    Returns one mention list per cluster; an entity belongs to the role
+    iff all its members do.
     """
     mmap = doc.mention_map()
     role_ids = {m.id for m in role_mentions}
@@ -306,12 +304,12 @@ def _clusters(doc: Document, role_mentions):
                 (mmap[mid] for mid in e.mention_ids),
                 key=lambda m: m.token_indices[0],
             )
-            clusters.append((e.id, members))
+            clusters.append(members)
             clustered |= set(e.mention_ids)
     for m in role_mentions:
         if m.id not in clustered:
-            clusters.append((m.id, [m]))
-    clusters.sort(key=lambda pair: pair[1][0].token_indices[0])
+            clusters.append([m])
+    clusters.sort(key=lambda members: members[0].token_indices[0])
     return clusters
 
 
@@ -328,9 +326,9 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
 
     lanes: list = []
     lane_of_actor_mention: dict = {}
-    for entity_id, members in _clusters(doc, roles["actor"]):
+    for members in _clusters(doc, roles["actor"]):
         label = _longest_surface(doc, members)
-        lane = Lane(ids.make("lane", label), label, actor_entity_id=entity_id)
+        lane = Lane(ids.make("lane", label), label)
         lanes.append(lane)
         for m in members:
             lane_of_actor_mention[m.id] = lane.id
@@ -341,8 +339,8 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
 
     activities = roles["activity"]
     gateways = sorted(
-        [(XOR, members) for _, members in _clusters(doc, roles["xor_gateway"])]
-        + [(AND, members) for _, members in _clusters(doc, roles["and_gateway"])],
+        [(XOR, members) for members in _clusters(doc, roles["xor_gateway"])]
+        + [(AND, members) for members in _clusters(doc, roles["and_gateway"])],
         key=lambda pair: pair[1][0].token_indices[0],
     )
     nearest_actor = _nearest_left_index(roles["actor"])
@@ -389,7 +387,7 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
         for m in members:
             mention_nodes[m.id] = node.id
 
-    for _, members in _clusters(doc, roles["data"]):
+    for members in _clusters(doc, roles["data"]):
         label = _longest_surface(doc, members)
         node = Node(ids.make("data", label), DATA, label, None)
         nodes.append(node)
@@ -512,7 +510,7 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
         associations.append(
             DataAssociation(
                 ids.make("assoc", task_node, data_node),
-                data_object=data_node, task=task_node, direction="input",
+                data_object=data_node, task=task_node,
             )
         )
         task = node_by_id[task_node]
@@ -593,8 +591,6 @@ def validate_graph(graph: ProcessGraph) -> list:
             problems.append(f"association {a.id}: {a.data_object!r} is not a data object")
         if a.task not in node_by_id or node_by_id[a.task].kind != TASK:
             problems.append(f"association {a.id}: {a.task!r} is not a task")
-        if a.direction not in ("input", "output"):
-            problems.append(f"association {a.id}: bad direction {a.direction!r}")
     starts = [n for n in graph.nodes if n.kind == START]
     ends = [n for n in graph.nodes if n.kind == END]
     if len(starts) != 1:
@@ -763,18 +759,11 @@ def serialize_bpmn(model: LayoutedModel) -> str:
         else:
             push(f'    <bpmn:{tag} id={_quoteattr(n.id)}{name_attr}>\n')
             for a in associations:
-                if a.direction == "input":
-                    push(
-                        f'      <bpmn:dataInputAssociation id={_quoteattr(a.id)}>\n'
-                        f'        <bpmn:sourceRef>{_escape(a.data_object)}</bpmn:sourceRef>\n'
-                        '      </bpmn:dataInputAssociation>\n'
-                    )
-                else:
-                    push(
-                        f'      <bpmn:dataOutputAssociation id={_quoteattr(a.id)}>\n'
-                        f'        <bpmn:targetRef>{_escape(a.data_object)}</bpmn:targetRef>\n'
-                        '      </bpmn:dataOutputAssociation>\n'
-                    )
+                push(
+                    f'      <bpmn:dataInputAssociation id={_quoteattr(a.id)}>\n'
+                    f'        <bpmn:sourceRef>{_escape(a.data_object)}</bpmn:sourceRef>\n'
+                    '      </bpmn:dataInputAssociation>\n'
+                )
             push(f'    </bpmn:{tag}>\n')
     for f in graph.sequence_flows:
         label = (
@@ -863,15 +852,7 @@ def parse_bpmn(xml_text: str) -> LayoutedModel:
                     DataAssociation(
                         assoc.get("id"),
                         assoc.find("bpmn:sourceRef", ns).text,
-                        node_id, "input",
-                    )
-                )
-            for assoc in el.findall("bpmn:dataOutputAssociation", ns):
-                associations.append(
-                    DataAssociation(
-                        assoc.get("id"),
-                        assoc.find("bpmn:targetRef", ns).text,
-                        node_id, "output",
+                        node_id,
                     )
                 )
         elif el.tag == data_tag:

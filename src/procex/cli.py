@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -151,7 +152,9 @@ def _counts(text: str) -> tuple:
     return tuple(_count(part) for part in _comma_list(text))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing never mutates it."""
     parser = _Parser(
         prog="procex",
         description=(
@@ -179,10 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["record", "replay"],
                        help="record against a live endpoint or replay a cache")
         p.add_argument("--cache", help="response cache directory")
-        p.add_argument("--seed", type=int, default=0, help="shot sampling seed")
-        p.add_argument("--fixed-shots", action="store_true",
-                       help="one shot sample for the whole run instead of "
-                            "per-document sampling")
+        p.add_argument("--seed", type=int, default=0,
+                       help="shot sampling seed, mixed with each document id")
 
     p = sub.add_parser("extract",
                        help="run extraction over one document or a dataset")
@@ -317,8 +318,7 @@ def cmd_extract(args) -> int:
     if args.doc is not None:
         doc = dataset.document(args.doc)
         _, _, report, predictions = extract_document(
-            doc, config, client, shot_pool=dataset.documents,
-            model_id=model_id, fixed_shots=args.fixed_shots,
+            doc, config, client, shot_pool=dataset.documents, model_id=model_id,
         )
         print(json.dumps(
             {
@@ -333,10 +333,8 @@ def cmd_extract(args) -> int:
         ))
         return EXIT_OK
     out_root = Path(_resolve(args, "out", "runs"))
-    cell = run_cell(
-        dataset, task, config, client, out_root=out_root,
-        model_id=model_id, fixed_shots=args.fixed_shots,
-    )
+    cell = run_cell(dataset, task, config, client, out_root=out_root,
+                    model_id=model_id)
     sys.stdout.write(f"run: {out_root / cell.manifest_id}\n")
     sys.stdout.write(render_grid_table([cell]))
     return EXIT_OK
@@ -396,7 +394,7 @@ def cmd_grid(args) -> int:
         dataset, tasks=tasks, shot_counts=args.shots, client=client,
         out_root=Path(_resolve(args, "out", "runs")),
         model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
-        shot_seed=args.seed, fixed_shots=args.fixed_shots,
+        shot_seed=args.seed,
     )
     sys.stdout.write(result.table_text)
     if result.failures:
@@ -417,7 +415,6 @@ def cmd_ablate(args) -> int:
         dataset, tasks=tuple(tasks), base=base, client=client,
         out_root=None if out is None else Path(out),
         model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
-        fixed_shots=args.fixed_shots,
     )
     sys.stdout.write(render_ablation_table(report))
     failed = [r for r in report.rows if r.failure is not None]

@@ -1,11 +1,16 @@
 """Chat-completion client with a content-addressed record/replay cache.
 
-Every request is keyed by a hash of (model_id, temperature,
-prompt_text), plus max_output_tokens when it is set. In record mode a
-cache miss calls the configured provider once and persists the
-response; in replay mode a miss is an error and the network is never
-touched. One JSON file per entry keeps
-the cache diffable and usable as a test fixture.
+Every request goes out at temperature 0 with no output cap, and is
+keyed by the SHA-256 of (model_id, temperature 0, prompt_text). In
+record mode a cache miss calls the configured provider once and
+persists the response; in replay mode a miss is an error and the
+network is never touched. One JSON file per entry keeps the cache
+diffable and usable as a test fixture.
+
+The live provider POSTs to ``$PROCEX_ENDPOINT`` with
+``Authorization: Bearer $PROCEX_API_KEY`` and a 60-second timeout. A
+reply that is not a chat completion is a ``ProviderError``; a missing
+or null ``usage`` counts as 0 tokens.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ from .corpus import LoadError, check, decode_json
 
 ENV_API_KEY = "PROCEX_API_KEY"
 ENV_ENDPOINT = "PROCEX_ENDPOINT"
+
+# the only sampling setting procex uses; it stays in the cache key so
+# every recorded digest stays valid
+TEMPERATURE = 0.0
+
+TIMEOUT_S = 60.0  # per provider request
 
 
 class ProviderError(RuntimeError):
@@ -40,12 +51,6 @@ class ReplayMissError(LookupError):
 class ChatRequest:
     model_id: str
     prompt_text: str
-    temperature: float = 0.0
-    max_output_tokens: int | None = None
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,25 +70,18 @@ class ChatResponse:
             raise ValueError("token counts must be >= 0")
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    digest: str
-
-
-def cache_key(request: ChatRequest) -> CacheKey:
+def cache_key(request: ChatRequest) -> str:
+    """Hex SHA-256 of the request; names its cache entry."""
     payload = json.dumps(
         {
             "model_id": request.model_id,
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
             "prompt_text": request.prompt_text,
-            # only when set, so digests recorded without a cap stay valid
-            **({} if request.max_output_tokens is None
-               else {"max_output_tokens": request.max_output_tokens}),
         },
         sort_keys=True,
         ensure_ascii=False,
     )
-    return CacheKey(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class HttpProvider:
@@ -94,51 +92,39 @@ class HttpProvider:
     because only record mode builds a live provider.
     """
 
-    def __init__(self, endpoint: str, api_key: str, *,
-                 auth_header: str = "Authorization",
-                 auth_prefix: str = "Bearer ",
-                 timeout: float = 60.0,
-                 session=None):
+    def __init__(self, endpoint: str, api_key: str, *, session=None):
         if not endpoint:
             raise ProviderError("no endpoint configured")
         self.endpoint = endpoint
         self.api_key = api_key
-        self.auth_header = auth_header
-        self.auth_prefix = auth_prefix
-        self.timeout = timeout
         if session is None:
             import requests
             session = requests.Session()
         self.session = session
 
     @classmethod
-    def from_env(cls, **kw) -> "HttpProvider":
-        endpoint = os.environ.get(ENV_ENDPOINT, "")
-        api_key = os.environ.get(ENV_API_KEY, "")
-        return cls(endpoint, api_key, **kw)
+    def from_env(cls) -> "HttpProvider":
+        return cls(os.environ.get(ENV_ENDPOINT, ""), os.environ.get(ENV_API_KEY, ""))
 
     def payload(self, request: ChatRequest) -> dict:
-        body = {
+        return {
             "model": request.model_id,
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
             "messages": [{"role": "user", "content": request.prompt_text}],
         }
-        if request.max_output_tokens is not None:
-            body["max_tokens"] = request.max_output_tokens
-        return body
 
     def __call__(self, request: ChatRequest) -> ChatResponse:
         import requests
 
         headers = {}
         if self.api_key:
-            headers[self.auth_header] = self.auth_prefix + self.api_key
+            headers["Authorization"] = "Bearer " + self.api_key
         try:
             reply = self.session.post(
                 self.endpoint,
                 json=self.payload(request),
                 headers=headers,
-                timeout=self.timeout,
+                timeout=TIMEOUT_S,
             )
         except requests.RequestException as exc:
             raise TransientProviderError(f"request failed: {exc}") from exc
@@ -149,14 +135,16 @@ class HttpProvider:
         try:
             data = reply.json()
             text = data["choices"][0]["message"]["content"]
-            usage = data.get("usage", {})
+            usage = data.get("usage")
+            if usage is None:
+                usage = {}
             return ChatResponse(
                 text=text,
                 input_token_count=int(usage.get("prompt_tokens", 0)),
                 output_token_count=int(usage.get("completion_tokens", 0)),
                 provider_name=f"http:{self.endpoint}",
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider payload: {exc}") from exc
 
 
@@ -170,7 +158,7 @@ class CachingClient:
     def __init__(self, cache_dir, provider=None, mode: str = "record", *,
                  retries: int = 3, backoff_base: float = 0.5,
                  max_concurrency: int = 4, min_interval: float = 0.0,
-                 sleep=time.sleep, clock=time.monotonic):
+                 sleep=time.sleep):
         if mode not in ("record", "replay"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "record" and provider is None:
@@ -181,7 +169,6 @@ class CachingClient:
         self.retries = retries
         self.backoff_base = backoff_base
         self.sleep = sleep
-        self.clock = clock
         self.min_interval = min_interval
         self.max_concurrency = max_concurrency
         self._semaphore = threading.BoundedSemaphore(max_concurrency)
@@ -215,8 +202,7 @@ class CachingClient:
         entry = {
             "request": {
                 "model_id": request.model_id,
-                "temperature": request.temperature,
-                "max_output_tokens": request.max_output_tokens,
+                "temperature": TEMPERATURE,
                 "prompt_text": request.prompt_text,
             },
             "response": {
@@ -242,12 +228,12 @@ class CachingClient:
         if self.min_interval <= 0:
             return
         with self._pace_guard:
-            now = self.clock()
+            now = time.monotonic()
             if self._last_call is not None:
                 wait = self.min_interval - (now - self._last_call)
                 if wait > 0:
                     self.sleep(wait)
-            self._last_call = self.clock()
+            self._last_call = time.monotonic()
 
     def _call_provider(self, request: ChatRequest) -> ChatResponse:
         last_error = None
@@ -265,7 +251,7 @@ class CachingClient:
         ) from last_error
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        digest = cache_key(request).digest
+        digest = cache_key(request)
         path = self._path(digest)
         with self._lock_for(digest):
             if path.exists():

@@ -42,18 +42,11 @@ from .parser import (
     item_to_record,
     parse,
 )
-from .prompt import (
-    PromptConfig,
-    ablation_variants,
-    assemble,
-    load_template,
-)
+from .prompt import PromptConfig, ablation_variants, assemble
 
 DEFAULT_MODEL_ID = "stub"
 DEFAULT_SHOT_COUNTS = (0, 1, 3)
 REPLAY_TIMESTAMP = "1970-01-01T00:00:00Z"
-
-SHOT_ROW_LABELS = {0: "zero-shot", 1: "1-shot", 3: "3-shot"}
 
 _BASELINES_PATH = Path(__file__).resolve().parent / "data" / "baselines.json"
 
@@ -167,23 +160,21 @@ def score_dataset(dataset: Dataset, task: str, predictions_by_doc: dict):
     return aggregate([s.counts for s in per_doc.values()]), per_doc
 
 
-def _document_config(config: PromptConfig, doc_id: str,
-                     fixed_shots: bool) -> PromptConfig:
-    if fixed_shots or config.shot_count == 0:
+def _document_config(config: PromptConfig, doc_id: str) -> PromptConfig:
+    """Few-shot examples are drawn per document from the run seed and its id."""
+    if config.shot_count == 0:
         return config
     return config.replace(shot_seed=per_document_seed(config.shot_seed, doc_id))
 
 
 def extract_document(doc: Document, config: PromptConfig, client: CachingClient,
-                     shot_pool=(), *, template: dict | None = None,
-                     model_id: str = DEFAULT_MODEL_ID, fixed_shots: bool = False):
+                     shot_pool=(), *, model_id: str = DEFAULT_MODEL_ID):
     """Prompt, complete, parse, ground one document.
 
     Returns the rendered prompt, the response, the parse report and the
     task-shaped predictions.
     """
-    cfg = _document_config(config, doc.id, fixed_shots)
-    rendered = assemble(cfg, doc, shot_pool, template)
+    rendered = assemble(_document_config(config, doc.id), doc, shot_pool)
     response = client.complete(ChatRequest(model_id, rendered.text))
     report = parse(response.text, config.task, config.schema)
     predictions = _predictions_for(config.task, report, doc)
@@ -211,7 +202,6 @@ class CellResult:
 class GridResult:
     cells: tuple
     table_text: str
-    out_root: Path | None = None
 
     @property
     def failures(self) -> tuple:
@@ -224,16 +214,13 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _run_over_documents(dataset, config, client, template, model_id,
-                        fixed_shots):
+def _run_over_documents(dataset, config, client, model_id):
     """Extract every document concurrently; rows in dataset order."""
     docs = list(dataset.documents)
 
     def extract(doc):
-        return (doc,) + extract_document(
-            doc, config, client, docs, template=template, model_id=model_id,
-            fixed_shots=fixed_shots,
-        )
+        return (doc,) + extract_document(doc, config, client, docs,
+                                         model_id=model_id)
 
     # the client's own limit bounds provider calls; more threads would wait
     with concurrent.futures.ThreadPoolExecutor(
@@ -244,16 +231,10 @@ def _run_over_documents(dataset, config, client, template, model_id,
 
 def run_cell(dataset: Dataset, task: str, config: PromptConfig,
              client: CachingClient, *, out_root=None,
-             model_id: str = DEFAULT_MODEL_ID, template: dict | None = None,
-             fixed_shots: bool = False) -> CellResult:
+             model_id: str = DEFAULT_MODEL_ID) -> CellResult:
     """One (dataset, task, shot count) run, persisted under its manifest."""
     config = config.replace(task=task, schema=dataset.schema)
-    if template is None:
-        template = load_template()
-
-    rows = _run_over_documents(
-        dataset, config, client, template, model_id, fixed_shots
-    )
+    rows = _run_over_documents(dataset, config, client, model_id)
     fingerprints: dict = {}
     predictions_by_doc: dict = {}
     parsing_errors = 0
@@ -331,33 +312,25 @@ def run_cell(dataset: Dataset, task: str, config: PromptConfig,
 
 
 def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS,
-             base: PromptConfig | None = None, client: CachingClient = None, *,
-             out_root=None, model_id: str = DEFAULT_MODEL_ID,
-             shot_seed: int = 0, fixed_shots: bool = False) -> GridResult:
+             client: CachingClient = None, *, out_root=None,
+             model_id: str = DEFAULT_MODEL_ID, shot_seed: int = 0) -> GridResult:
     """Sweep (task, shot count) cells and render the score table."""
     if not dataset.documents:
         if out_root is not None:
             Path(out_root).mkdir(parents=True, exist_ok=True)
             (Path(out_root) / "table.txt").write_text("", encoding="utf-8")
-        return GridResult(cells=(), table_text="",
-                          out_root=None if out_root is None else Path(out_root))
+        return GridResult(cells=(), table_text="")
     if tasks is None:
         tasks = dataset.schema.tasks
-    if base is None:
-        base = PromptConfig(
-            task=(list(tasks) or ["MD"])[0], schema=dataset.schema,
-            shot_seed=shot_seed,
-        )
-    template = load_template()
     cells: list = []
     for task in tasks:
         for n in shot_counts:
-            config = base.replace(task=task, shot_count=n)
+            config = PromptConfig(task=task, schema=dataset.schema,
+                                  shot_count=n, shot_seed=shot_seed)
             try:
                 cell = run_cell(
                     dataset, task, config, client, out_root=out_root,
-                    model_id=model_id, template=template,
-                    fixed_shots=fixed_shots,
+                    model_id=model_id,
                 )
             except Exception as exc:  # noqa: BLE001 - cell failures are rows
                 cell = CellResult(
@@ -375,12 +348,11 @@ def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS,
     if out_root is not None:
         Path(out_root).mkdir(parents=True, exist_ok=True)
         (Path(out_root) / "table.txt").write_text(table, encoding="utf-8")
-    return GridResult(cells=tuple(cells), table_text=table,
-                      out_root=None if out_root is None else Path(out_root))
+    return GridResult(cells=tuple(cells), table_text=table)
 
 
 def _shot_label(n: int) -> str:
-    return SHOT_ROW_LABELS.get(n, f"{n}-shot")
+    return "zero-shot" if n == 0 else f"{n}-shot"
 
 
 def render_grid_table(cells) -> str:
@@ -444,22 +416,18 @@ class AblationReport:
 def run_ablation(dataset: Dataset, tasks=("MD", "RE"),
                  base: PromptConfig | None = None,
                  client: CachingClient = None, *, out_root=None,
-                 model_id: str = DEFAULT_MODEL_ID,
-                 fixed_shots: bool = False) -> AblationReport:
+                 model_id: str = DEFAULT_MODEL_ID) -> AblationReport:
     """Remove one prompt component at a time and measure the damage."""
     if base is None:
         base = PromptConfig(task=tasks[0], schema=dataset.schema)
-    template = load_template()
     rows: list = []
     for task in tasks:
         task_base = base.replace(task=task, schema=dataset.schema)
         baseline_f1: float | None = None
         for label, variant in ablation_variants(task_base):
             try:
-                cell = run_cell(
-                    dataset, task, variant, client, model_id=model_id,
-                    template=template, fixed_shots=fixed_shots,
-                )
+                cell = run_cell(dataset, task, variant, client,
+                                model_id=model_id)
             except Exception as exc:  # noqa: BLE001 - keep other rows alive
                 rows.append(AblationRow(task, label, None, None, 0,
                                         failure=f"{type(exc).__name__}: {exc}",

@@ -10,13 +10,14 @@ schema-derived content is substituted into ``{placeholders}``.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import random
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
+from types import MappingProxyType
 
 from .corpus import Document, SchemaDescriptor, TASKS
 
@@ -121,16 +122,17 @@ class RenderedPrompt:
     shot_ids: tuple = ()
 
 
-def load_template(source: str | Path | None = None) -> dict:
-    """Read a sectioned template file into {kind: text}."""
-    if source is None:
-        raw = (
-            resources.files("procex")
-            .joinpath("data", "templates", "default.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        raw = Path(source).read_text(encoding="utf-8")
+@functools.cache
+def load_template() -> MappingProxyType:
+    """The bundled sectioned template as a read-only {kind: text}.
+
+    Read once per process; every caller shares the same mapping.
+    """
+    raw = (
+        resources.files("procex")
+        .joinpath("data", "templates", "default.txt")
+        .read_text(encoding="utf-8")
+    )
     by_name = {k.value: k for k in PromptComponentKind}
     sections: dict = {}
     current = None
@@ -153,7 +155,7 @@ def load_template(source: str | Path | None = None) -> dict:
     if missing:
         names = ", ".join(sorted(k.value for k in missing))
         raise PromptError(f"template is missing sections: {names}")
-    return sections
+    return MappingProxyType(sections)
 
 
 def first_sentence(text: str) -> str:
@@ -337,7 +339,7 @@ def assemble(
     config: PromptConfig,
     target: Document,
     shot_pool: list = (),
-    template: dict | None = None,
+    template: MappingProxyType | None = None,
 ) -> RenderedPrompt:
     """Build the prompt for one document."""
     config.validate()

@@ -4,6 +4,7 @@ Happy paths record a response cache programmatically with a gold
 echoing stub, then drive the CLI in replay mode against it.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -20,7 +21,7 @@ from procex import cli, corpus, pipeline
 from procex.bpmn import parse_bpmn
 from procex.cli import main
 from procex.corpus import Dataset, Document, Mention, Token, save_canonical
-from procex.llm import CachingClient, ChatRequest, ChatResponse
+from procex.llm import CachingClient, ChatRequest, ChatResponse, HttpProvider
 from procex.pipeline import extract_document, run_cell, run_grid
 from procex.prompt import PromptConfig, PromptError, render_gold
 
@@ -180,6 +181,47 @@ def test_every_public_name_has_a_use_outside_tests():
     assert unused == []
 
 
+def test_every_keyword_only_parameter_is_passed_outside_tests():
+    # a keyword-only setting that no caller names only ever takes its default
+    root = DATA.parent
+    passed = set()
+    for pattern in ("src/procex/*.py", "tools/*.py", "perfbench/*.py"):
+        for path in sorted(root.glob(pattern)):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.keyword) and node.arg is not None:
+                    passed.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    passed.update(k.value for k in node.keys
+                                  if isinstance(k, ast.Constant)
+                                  and isinstance(k.value, str))
+    allowed = {"session"}  # the transport fake of tests/test_llm.py
+    unpassed = []
+    for short in ("corpus", "prompt", "llm", "parser", "eval", "pipeline",
+                  "bpmn", "cli"):
+        module = importlib.import_module(f"procex.{short}")
+        callables = []
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                callables.append((name, value))
+            elif inspect.isclass(value):
+                callables += [
+                    (f"{name}.{attr}", getattr(member, "__func__", member))
+                    for attr, member in vars(value).items()
+                    if (attr == "__init__" or not attr.startswith("_"))
+                    and inspect.isfunction(getattr(member, "__func__", member))
+                ]
+        for qualname, func in callables:
+            unpassed += [
+                f"{short}.{qualname}({param.name})"
+                for param in inspect.signature(func).parameters.values()
+                if param.kind is param.KEYWORD_ONLY
+                and param.name not in passed | allowed
+            ]
+    assert unpassed == []
+
+
 def record_one_entry(pet, cache_dir):
     """Record the MD zero-shot entry of doc-1.1; return its path."""
     client = CachingClient(cache_dir, gold_echo(pet), mode="record")
@@ -221,6 +263,46 @@ def test_record_without_endpoint_is_provider_error(capsys, tmp_path):
                  "--cache", str(tmp_path / "c")])
     assert code == 3
     assert "no endpoint configured" in capsys.readouterr().err
+
+
+def test_fixed_shots_flag_is_gone(capsys, tmp_path):
+    code = main(["extract", "--dataset", str(DATA / "pet.jsonl"), "--task", "MD",
+                 "--shots", "1", "--fixed-shots", "--mode", "replay",
+                 "--cache", str(tmp_path / "c")])
+    assert code == 1
+    assert "error: usage: unrecognized arguments: --fixed-shots" in \
+        capsys.readouterr().err
+
+
+class _MalformedReply:
+    status_code = 200
+
+    @staticmethod
+    def json():
+        return {"choices": [{"message": {"content": "activity|x"}}],
+                "usage": "12 tokens"}
+
+
+class _MalformedProvider:
+    @staticmethod
+    def from_env():
+        class Session:
+            def post(self, url, **kwargs):
+                return _MalformedReply()
+
+        return HttpProvider("https://api.example/v1/chat", "k", session=Session())
+
+
+def test_malformed_provider_reply_is_provider_error(capsys, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli, "HttpProvider", _MalformedProvider)
+    code = main(["extract", "--dataset", str(DATA / "pet.jsonl"), "--task", "MD",
+                 "--doc", "doc-1.1", "--mode", "record",
+                 "--cache", str(tmp_path / "c")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: provider: malformed")
+    assert not (tmp_path / "c").exists()
 
 
 class _NoProvider:
@@ -507,6 +589,25 @@ def test_generate_bpmn_from_predictions(capsys, tmp_path):
     model = parse_bpmn(text)
     labels = sorted(n.label for n in model.graph.nodes if n.kind == "task")
     assert labels == ["archives", "registers"]
+
+
+def test_repeated_main_calls_share_no_parser_state(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    doc33 = DATA / "fixtures" / "doc33.json"
+    (doc_id,) = [d.id for d in corpus.load_canonical(doc33).documents]
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text(
+        json.dumps({"document_id": doc_id, "task": "MD", "items": []}) + "\n",
+        encoding="utf-8",
+    )
+    runs = [["--out", str(tmp_path / "gold.bpmn")],
+            ["--predictions", str(predictions), "--out", str(tmp_path / "pred.bpmn")],
+            ["--out", str(tmp_path / "again.bpmn")]]
+    for extra in runs:
+        assert main(["generate-bpmn", "--in", str(doc33), *extra]) == 0
+    gold = (tmp_path / "gold.bpmn").read_bytes()
+    assert (tmp_path / "pred.bpmn").read_bytes() != gold
+    assert (tmp_path / "again.bpmn").read_bytes() == gold
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 import requests
@@ -19,8 +20,11 @@ from procex.llm import (
 )
 
 
-def make_request(prompt="hello world", model="test-model", temp=0.0):
-    return ChatRequest(model_id=model, prompt_text=prompt, temperature=temp)
+FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "data" / "fixtures" / "replay_cache"
+
+
+def make_request(prompt="hello world", model="test-model"):
+    return ChatRequest(model_id=model, prompt_text=prompt)
 
 
 class SpyProvider:
@@ -44,24 +48,25 @@ class SpyProvider:
 def test_cache_key_deterministic_and_distinct():
     a = cache_key(make_request())
     assert a == cache_key(make_request())
-    assert len(a.digest) == 64
+    assert len(a) == 64
     assert a != cache_key(make_request(prompt="other"))
     assert a != cache_key(make_request(model="other-model"))
-    assert a != cache_key(make_request(temp=1.0))
-
-
-def test_cache_key_separates_output_caps():
-    capped = ChatRequest("test-model", "hello world", max_output_tokens=64)
-    assert cache_key(capped) != cache_key(make_request())
-    assert cache_key(capped) != cache_key(
-        ChatRequest("test-model", "hello world", max_output_tokens=128)
-    )
 
 
 def test_cache_key_without_cap_keeps_recorded_digest():
-    # the digest every cache recorded before the cap joined the key
-    assert cache_key(make_request()).digest == \
+    # the digest every cache recorded with temperature 0 and no output cap
+    assert cache_key(make_request()) == \
         "d6b7e55b57332e9e3364e720430d7b29c3209b8aa5ff79264b84e3fa27a88f19"
+
+
+def test_every_fixture_entry_is_named_by_its_cache_key():
+    entries = sorted(FIXTURE_CACHE.glob("*.json"))
+    assert len(entries) == 45
+    for path in entries:
+        stored = json.loads(path.read_text(encoding="utf-8"))["request"]
+        assert stored["temperature"] == 0.0
+        key = cache_key(ChatRequest(stored["model_id"], stored["prompt_text"]))
+        assert path.stem == key, path.name
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +88,16 @@ def test_cache_file_is_inspectable(tmp_path):
     client = CachingClient(tmp_path, spy, "record")
     request = make_request()
     client.complete(request)
-    path = tmp_path / f"{cache_key(request).digest}.json"
+    path = tmp_path / f"{cache_key(request)}.json"
     entry = json.loads(path.read_text())
-    assert entry["request"]["prompt_text"] == "hello world"
+    assert entry["request"] == {"model_id": "test-model", "temperature": 0.0,
+                                "prompt_text": "hello world"}
     assert entry["response"]["text"] == "reply"
 
 
 def test_store_survives_a_directory_on_the_old_temp_name(tmp_path):
     request = make_request()
-    digest = cache_key(request).digest
+    digest = cache_key(request)
     (tmp_path / f"{digest}.tmp").mkdir()
     client = CachingClient(tmp_path, SpyProvider(), "record")
     assert client.complete(request).text == "reply"
@@ -237,7 +243,8 @@ class FakeSession:
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
+        self.requests.append({"url": url, "json": json, "headers": headers,
+                              "timeout": timeout})
         return self.reply
 
 
@@ -260,14 +267,9 @@ def test_http_provider_payload_and_parse():
     assert sent["json"]["temperature"] == 0.0
     assert sent["json"]["messages"] == [{"role": "user", "content": "the prompt"}]
     assert "top_p" not in sent["json"]
-    assert sent["headers"]["Authorization"] == "Bearer sekrit"
-
-
-def test_http_provider_max_tokens_forwarded():
-    session = FakeSession(FakeReply(body=ok_body()))
-    provider = HttpProvider("https://api.example/v1/chat", "k", session=session)
-    provider(ChatRequest("m", "p", max_output_tokens=256))
-    assert session.requests[0]["json"]["max_tokens"] == 256
+    assert sent["headers"] == {"Authorization": "Bearer sekrit"}
+    assert sent["timeout"] == 60.0
+    assert set(sent["json"]) == {"model", "temperature", "messages"}
 
 
 def test_http_provider_transient_and_fatal_errors():
@@ -311,9 +313,39 @@ def test_http_provider_malformed_payload():
     assert "malformed" in str(err.value)
 
 
+def test_http_provider_null_usage_counts_no_tokens():
+    body = {**ok_body(), "usage": None}
+    provider = HttpProvider("https://x", "k", session=FakeSession(FakeReply(body=body)))
+    response = provider(make_request())
+    assert (response.text, response.input_token_count,
+            response.output_token_count) == ("answer", 0, 0)
+
+
+@pytest.mark.parametrize("body", [
+    {**ok_body(), "usage": "12 tokens"},
+    {**ok_body(), "usage": [12, 3]},
+    {**ok_body(), "usage": 15},
+    {**ok_body(), "usage": {"prompt_tokens": None}},
+    {**ok_body(), "usage": {"prompt_tokens": "many"}},
+    {**ok_body(), "usage": {"completion_tokens": -1}},
+    {"choices": []},
+    {"choices": [{"message": "answer"}]},
+    ["answer"],
+    "answer",
+    None,
+], ids=repr)
+def test_http_provider_malformed_reply_is_provider_error(body):
+    reply = FakeReply(body=body)
+    if body is None:  # a body that is JSON null, not a missing body
+        reply.json = lambda: None
+    provider = HttpProvider("https://x", "k", session=FakeSession(reply))
+    with pytest.raises(ProviderError) as err:
+        provider(make_request())
+    assert not isinstance(err.value, TransientProviderError)
+    assert "malformed" in str(err.value)
+
+
 def test_request_validation():
-    with pytest.raises(ValueError):
-        ChatRequest("m", "p", temperature=-1.0)
     with pytest.raises(ValueError):
         ChatResponse("t", -1, 0, "p")
     with pytest.raises(TypeError):

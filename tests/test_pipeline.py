@@ -114,13 +114,10 @@ def test_extract_never_includes_target_as_shot(pet, tmp_path):
 
 def test_per_document_seeds_differ_per_doc(pet):
     base = md_config(pet, shot_count=1, shot_seed=7)
-    a = pipeline._document_config(base, "doc-1.1", False)
-    b = pipeline._document_config(base, "doc-1.2", False)
+    a = pipeline._document_config(base, "doc-1.1")
+    b = pipeline._document_config(base, "doc-1.2")
     assert a.shot_seed != b.shot_seed
     assert a.shot_seed == per_document_seed(7, "doc-1.1")
-    fixed_a = pipeline._document_config(base, "doc-1.1", True)
-    fixed_b = pipeline._document_config(base, "doc-1.2", True)
-    assert fixed_a.shot_seed == fixed_b.shot_seed == 7
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ def test_template_has_all_sections():
     assert all(sections[k] for k in sections)
 
 
+def test_template_is_read_once_and_shared_read_only():
+    sections = load_template()
+    assert load_template() is sections
+    with pytest.raises(TypeError):
+        sections[K.PERSONA] = "changed"
+
+
 def test_first_sentence():
     assert first_sentence("One. Two.") == "One."
     assert first_sentence("No terminator here") == "No terminator here"
