@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -32,24 +31,24 @@ from .corpus import (
     ValidationError,
     check,
     decode_json,
-    json_lines,
     load_canonical,
     load_pet,
     load_schema,
 )
-from .llm import CachingClient, HttpProvider, ProviderError, ReplayMissError
-from .parser import (
-    ParseReport,
-    ground_clusters,
-    ground_relations,
-    ground_report,
-    item_from_record,
-    item_to_record,
+from .llm import (
+    CachingClient,
+    HttpProvider,
+    ProviderError,
+    ReplayMissError,
+    cache_entries,
 )
+from .parser import ParseReport, ground_clusters, ground_relations, ground_report
 from .pipeline import (
     DEFAULT_MODEL_ID,
     _predictions_for,
     extract_document,
+    predictions_record,
+    read_predictions,
     render_ablation_table,
     render_grid_table,
     run_ablation,
@@ -182,6 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["record", "replay"],
                        help="record against a live endpoint or replay a cache")
         p.add_argument("--cache", help="response cache directory")
+
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=0,
                        help="shot sampling seed, mixed with each document id")
 
@@ -189,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run extraction over one document or a dataset")
     add_dataset(p)
     add_llm(p)
+    add_seed(p)
     add_config(p)
     p.add_argument("--task", required=True, help="MD, ER, RE, or CE")
     p.add_argument("--doc", help="single document id (default: whole dataset)")
@@ -209,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="score table over tasks and shot counts")
     add_dataset(p)
     add_llm(p)
+    add_seed(p)
     add_config(p)
     p.add_argument("--tasks", type=_comma_list,
                    help="comma list (default: the schema's tasks)")
@@ -320,17 +323,8 @@ def cmd_extract(args) -> int:
         _, _, report, predictions = extract_document(
             doc, config, client, shot_pool=dataset.documents, model_id=model_id,
         )
-        print(json.dumps(
-            {
-                "document_id": doc.id,
-                "task": task,
-                "items": [item_to_record(i) for i in report.items],
-                "parsing_errors": report.error_count,
-                "ignored_lines": report.ignored_line_count,
-                "prediction_count": len(predictions),
-            },
-            sort_keys=True,
-        ))
+        print(predictions_record(doc.id, task, report,
+                                 prediction_count=len(predictions)))
         return EXIT_OK
     out_root = Path(_resolve(args, "out", "runs"))
     cell = run_cell(dataset, task, config, client, out_root=out_root,
@@ -340,28 +334,11 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-PREDICTIONS_SHAPE = {"document_id": str, "items": [dict]}
-
-
-def _read_predictions(path):
-    """Yield ("<path>:<line>", record, parsed items) per predictions record.
-
-    A line that does not fit PREDICTIONS_SHAPE, or an item that does
-    not fit its kind's shape, raises LoadError naming the line.
-    """
-    for line_no, record in json_lines(path, f"{path}:"):
-        where = f"{path}:{line_no}"
-        check(record, PREDICTIONS_SHAPE, f"{where}: record")
-        yield where, record, tuple(
-            item_from_record(item, f"{where}: item") for item in record["items"]
-        )
-
-
 def cmd_evaluate(args) -> int:
     dataset = _load_dataset(args)
     task = _check_task(dataset, args.task)
     predictions: dict = {}
-    for where, record, items in _read_predictions(args.predictions):
+    for where, record, items in read_predictions(args.predictions):
         if record.get("task") != task:
             raise ValidationError(
                 f"{where}: record for task {record.get('task')!r}, "
@@ -408,11 +385,9 @@ def cmd_ablate(args) -> int:
     for task in tasks:
         _check_task(dataset, task)
     client = _make_client(args)
-    base = PromptConfig(task=tasks[0], schema=dataset.schema,
-                        shot_seed=args.seed)
     out = _resolve(args, "out")
     report = run_ablation(
-        dataset, tasks=tuple(tasks), base=base, client=client,
+        dataset, tasks=tuple(tasks), client=client,
         out_root=None if out is None else Path(out),
         model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
     )
@@ -427,7 +402,7 @@ def _doc_from_predictions(doc, schema, paths):
     """Swap a document's annotations for predicted ones."""
     items = []
     for path in paths:
-        for _, record, parsed in _read_predictions(path):
+        for _, record, parsed in read_predictions(path):
             if record["document_id"] == doc.id:
                 items.extend(parsed)
     report = ParseReport(items=tuple(items), error_lines=(), ignored_line_count=0)
@@ -513,7 +488,7 @@ def cmd_cache(args) -> int:
         if not cache_dir.is_dir():
             print(f"cache {cache_dir} is empty")
             return EXIT_OK
-        entries = sorted(cache_dir.glob("*.json"))
+        entries = cache_entries(cache_dir)
         for entry in entries:
             print(f"{entry.stem}  {entry.stat().st_size}")
         print(f"{len(entries)} cache entr{'y' if len(entries) == 1 else 'ies'}")

@@ -4,13 +4,17 @@ Every request goes out at temperature 0 with no output cap, and is
 keyed by the SHA-256 of (model_id, temperature 0, prompt_text). In
 record mode a cache miss calls the configured provider once and
 persists the response; in replay mode a miss is an error and the
-network is never touched. One JSON file per entry keeps the cache
-diffable and usable as a test fixture.
+network is never touched. One JSON file per entry, named
+``<cache_key>.json``, keeps the cache diffable and usable as a test
+fixture; listing and purging touch no other file. The caller's thread
+pool bounds concurrent provider calls; concurrent requests for one
+digest make one call, and ``min_interval`` spaces calls out.
 
 The live provider POSTs to ``$PROCEX_ENDPOINT`` with
 ``Authorization: Bearer $PROCEX_API_KEY`` and a 60-second timeout. A
-reply that is not a chat completion is a ``ProviderError``; a missing
-or null ``usage`` counts as 0 tokens.
+reply that is not a chat completion, token counts that are not JSON
+integers >= 0 included, is a ``ProviderError``; a missing or null
+``usage`` counts as 0 tokens.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -52,6 +57,11 @@ class ChatRequest:
     model_id: str
     prompt_text: str
 
+    def to_record(self) -> dict:
+        """The fields its cache key hashes and its cache entry stores."""
+        return {"model_id": self.model_id, "temperature": TEMPERATURE,
+                "prompt_text": self.prompt_text}
+
 
 @dataclass(frozen=True)
 class ChatResponse:
@@ -72,16 +82,15 @@ class ChatResponse:
 
 def cache_key(request: ChatRequest) -> str:
     """Hex SHA-256 of the request; names its cache entry."""
-    payload = json.dumps(
-        {
-            "model_id": request.model_id,
-            "temperature": TEMPERATURE,
-            "prompt_text": request.prompt_text,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+    payload = json.dumps(request.to_record(), sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def cache_entries(cache_dir) -> list:
+    """Sorted paths of the entries in cache_dir: files named <cache_key>.json."""
+    return sorted(path for path in Path(cache_dir).glob("*.json")
+                  if re.fullmatch(r"[0-9a-f]{64}\.json", path.name)
+                  and path.is_file())
 
 
 class HttpProvider:
@@ -138,10 +147,13 @@ class HttpProvider:
             usage = data.get("usage")
             if usage is None:
                 usage = {}
+            counts = [usage.get(k, 0) for k in ("prompt_tokens", "completion_tokens")]
+            if any(type(n) is not int for n in counts):  # bool, float, str
+                raise TypeError(f"token counts must be JSON integers: {counts}")
             return ChatResponse(
                 text=text,
-                input_token_count=int(usage.get("prompt_tokens", 0)),
-                output_token_count=int(usage.get("completion_tokens", 0)),
+                input_token_count=counts[0],
+                output_token_count=counts[1],
                 provider_name=f"http:{self.endpoint}",
             )
         except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
@@ -171,7 +183,6 @@ class CachingClient:
         self.sleep = sleep
         self.min_interval = min_interval
         self.max_concurrency = max_concurrency
-        self._semaphore = threading.BoundedSemaphore(max_concurrency)
         self._locks: dict = {}
         self._locks_guard = threading.Lock()
         self._pace_guard = threading.Lock()
@@ -200,11 +211,7 @@ class CachingClient:
 
     def _store(self, path: Path, request: ChatRequest, response: ChatResponse) -> None:
         entry = {
-            "request": {
-                "model_id": request.model_id,
-                "temperature": TEMPERATURE,
-                "prompt_text": request.prompt_text,
-            },
+            "request": request.to_record(),
             "response": {
                 "text": response.text,
                 "input_token_count": response.input_token_count,
@@ -241,9 +248,8 @@ class CachingClient:
             if attempt:
                 self.sleep(self.backoff_base * 2 ** (attempt - 1))
             try:
-                with self._semaphore:
-                    self._pace()
-                    return self.provider(request)
+                self._pace()
+                return self.provider(request)
             except TransientProviderError as exc:
                 last_error = exc
         raise ProviderError(
@@ -264,10 +270,8 @@ class CachingClient:
 
     def purge_cache(self, older_than: float | None = None) -> int:
         """Remove cache entries, all of them or only those older than a time."""
-        if not self.cache_dir.is_dir():
-            return 0
         removed = 0
-        for path in sorted(self.cache_dir.glob("*.json")):
+        for path in cache_entries(self.cache_dir):
             if older_than is not None and path.stat().st_mtime >= older_than:
                 continue
             path.unlink()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .corpus import Dataset, Document
+from .corpus import Dataset, Document, check, json_lines
 from .eval import (
     MatchPolicy,
     TaskScores,
@@ -39,6 +39,7 @@ from .parser import (
     ground_clusters,
     ground_relations,
     ground_report,
+    item_from_record,
     item_to_record,
     parse,
 )
@@ -160,6 +161,37 @@ def score_dataset(dataset: Dataset, task: str, predictions_by_doc: dict):
     return aggregate([s.counts for s in per_doc.values()]), per_doc
 
 
+PREDICTIONS_SHAPE = {"document_id": str, "items": [dict]}
+
+
+def predictions_record(doc_id: str, task: str, report: ParseReport,
+                       **extra) -> str:
+    """A predictions.jsonl line: the parsed items and parse counts of one
+    document, plus the extra fields given."""
+    return json.dumps({
+        "document_id": doc_id,
+        "task": task,
+        "items": [item_to_record(i) for i in report.items],
+        "parsing_errors": report.error_count,
+        "ignored_lines": report.ignored_line_count,
+        **extra,
+    }, sort_keys=True)
+
+
+def read_predictions(path):
+    """Yield ("<path>:<line>", record, parsed items) per predictions record.
+
+    A line that does not fit PREDICTIONS_SHAPE, or an item that does
+    not fit its kind's shape, raises LoadError naming the line.
+    """
+    for line_no, record in json_lines(path, f"{path}:"):
+        where = f"{path}:{line_no}"
+        check(record, PREDICTIONS_SHAPE, f"{where}: record")
+        yield where, record, tuple(
+            item_from_record(item, f"{where}: item") for item in record["items"]
+        )
+
+
 def _document_config(config: PromptConfig, doc_id: str) -> PromptConfig:
     """Few-shot examples are drawn per document from the run seed and its id."""
     if config.shot_count == 0:
@@ -222,7 +254,7 @@ def _run_over_documents(dataset, config, client, model_id):
         return (doc,) + extract_document(doc, config, client, docs,
                                          model_id=model_id)
 
-    # the client's own limit bounds provider calls; more threads would wait
+    # the pool size is the one bound on provider calls in flight
     with concurrent.futures.ThreadPoolExecutor(
         max_workers=client.max_concurrency
     ) as pool:
@@ -277,17 +309,8 @@ def run_cell(dataset: Dataset, task: str, config: PromptConfig,
             (run_dir / "responses" / f"{doc.id}.txt").write_text(
                 response.text, encoding="utf-8"
             )
-            scored = per_doc_scores[doc.id]
-            lines.append(json.dumps(
-                {
-                    "document_id": doc.id,
-                    "task": task,
-                    "items": [item_to_record(i) for i in report.items],
-                    "parsing_errors": report.error_count,
-                    "ignored_lines": report.ignored_line_count,
-                    "f1": round(scored.f1, 6),
-                },
-                sort_keys=True,
+            lines.append(predictions_record(
+                doc.id, task, report, f1=round(per_doc_scores[doc.id].f1, 6)
             ))
         (run_dir / "predictions.jsonl").write_text(
             "\n".join(lines) + "\n", encoding="utf-8"
@@ -311,6 +334,17 @@ def run_cell(dataset: Dataset, task: str, config: PromptConfig,
     return cell
 
 
+def _cell_or_failure(dataset: Dataset, task: str, config: PromptConfig,
+                     client: CachingClient, **kwargs) -> CellResult:
+    """run_cell, with an exception turned into a failed cell."""
+    try:
+        return run_cell(dataset, task, config, client, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - a failed cell is a row
+        return CellResult(dataset.schema.dataset_name, task, config.shot_count,
+                          scores=None, parsing_errors=0, manifest_id=None,
+                          failure=f"{type(exc).__name__}: {exc}", error=exc)
+
+
 def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS,
              client: CachingClient = None, *, out_root=None,
              model_id: str = DEFAULT_MODEL_ID, shot_seed: int = 0) -> GridResult:
@@ -327,23 +361,8 @@ def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS,
         for n in shot_counts:
             config = PromptConfig(task=task, schema=dataset.schema,
                                   shot_count=n, shot_seed=shot_seed)
-            try:
-                cell = run_cell(
-                    dataset, task, config, client, out_root=out_root,
-                    model_id=model_id,
-                )
-            except Exception as exc:  # noqa: BLE001 - cell failures are rows
-                cell = CellResult(
-                    dataset_name=dataset.schema.dataset_name,
-                    task=task,
-                    shot_count=n,
-                    scores=None,
-                    parsing_errors=0,
-                    manifest_id=None,
-                    failure=f"{type(exc).__name__}: {exc}",
-                    error=exc,
-                )
-            cells.append(cell)
+            cells.append(_cell_or_failure(dataset, task, config, client,
+                                          out_root=out_root, model_id=model_id))
     table = render_grid_table(cells)
     if out_root is not None:
         Path(out_root).mkdir(parents=True, exist_ok=True)
@@ -414,31 +433,25 @@ class AblationReport:
 
 
 def run_ablation(dataset: Dataset, tasks=("MD", "RE"),
-                 base: PromptConfig | None = None,
                  client: CachingClient = None, *, out_root=None,
                  model_id: str = DEFAULT_MODEL_ID) -> AblationReport:
-    """Remove one prompt component at a time and measure the damage."""
-    if base is None:
-        base = PromptConfig(task=tasks[0], schema=dataset.schema)
+    """Remove one prompt component at a time from the zero-shot prompt
+    and measure the damage."""
     rows: list = []
     for task in tasks:
-        task_base = base.replace(task=task, schema=dataset.schema)
+        base = PromptConfig(task=task, schema=dataset.schema)
         baseline_f1: float | None = None
-        for label, variant in ablation_variants(task_base):
-            try:
-                cell = run_cell(dataset, task, variant, client,
-                                model_id=model_id)
-            except Exception as exc:  # noqa: BLE001 - keep other rows alive
-                rows.append(AblationRow(task, label, None, None, 0,
-                                        failure=f"{type(exc).__name__}: {exc}",
-                                        error=exc))
-                continue
-            f1 = cell.scores.f1
+        for label, variant in ablation_variants(base):
+            cell = _cell_or_failure(dataset, task, variant, client,
+                                    model_id=model_id)
+            f1 = None if cell.scores is None else cell.scores.f1
             if label == "Baseline":
                 baseline_f1 = f1
-            relative = None if baseline_f1 is None else f1 - baseline_f1
+            relative = (None if f1 is None or baseline_f1 is None
+                        else f1 - baseline_f1)
             rows.append(AblationRow(task, label, f1, relative,
-                                    cell.parsing_errors))
+                                    cell.parsing_errors, failure=cell.failure,
+                                    error=cell.error))
     report = AblationReport(rows=tuple(rows))
     if out_root is not None:
         payload = {

@@ -26,6 +26,8 @@ class PromptError(ValueError):
     pass
 
 
+# In prompt order. Block A: context, block B: task description, block C:
+# restrictions.
 class PromptComponentKind(enum.Enum):
     PERSONA = "Persona"
     CONTEXT_MANAGER = "ContextManager"
@@ -42,20 +44,7 @@ class PromptComponentKind(enum.Enum):
 
 K = PromptComponentKind
 
-# Block A: context, block B: task description, block C: restrictions.
-COMPONENT_ORDER = (
-    K.PERSONA,
-    K.CONTEXT_MANAGER,
-    K.META_LANGUAGE,
-    K.CHAIN_OF_THOUGHT,
-    K.FACT_LIST,
-    K.REFLECTION,
-    K.ADDITIONAL_CONSIDERATIONS,
-    K.DISAMBIGUATION,
-    K.FORMAT_SPEC,
-    K.FORMAT_EXAMPLE,
-    K.FEW_SHOT,
-)
+COMPONENT_ORDER = tuple(PromptComponentKind)
 
 ALL_COMPONENTS = frozenset(COMPONENT_ORDER)
 

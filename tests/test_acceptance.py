@@ -31,7 +31,7 @@ from procex.eval import (
     score_md,
     scores_from_counts,
 )
-from procex.llm import CachingClient, ChatRequest, ChatResponse
+from procex.llm import CachingClient
 from procex.parser import GroundedMention, ParsedMention, parse
 from procex.pipeline import (
     _predictions_for,
@@ -47,16 +47,10 @@ from procex.prompt import (
     render_gold,
 )
 
+from echo_provider import gold_echo
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = DATA / "fixtures"
-
-TASK_MARKERS = {
-    "MD": "one line per mention",
-    "ER": "one line per entity",
-    "RE": "one line per relation",
-    "CE": "one line per constraint",
-}
-
 
 @contextmanager
 def criterion(capsys, number, name):
@@ -68,17 +62,6 @@ def criterion(capsys, number, name):
         raise
     with capsys.disabled():
         print(f"acceptance {number:02d} {name}: pass")
-
-
-def gold_echo(dataset):
-    def provider(request: ChatRequest) -> ChatResponse:
-        text = request.prompt_text
-        task = next(t for t, mark in TASK_MARKERS.items() if mark in text)
-        raw = text.rsplit("Input: ", 1)[1][: -len("\nOutput:\n")]
-        doc = next(d for d in dataset.documents if d.raw_text == raw)
-        return ChatResponse("\n".join(render_gold(doc, task)), 0, 0, "gold-echo")
-
-    return provider
 
 
 @pytest.fixture(scope="module")

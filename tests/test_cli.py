@@ -21,30 +21,13 @@ from procex import cli, corpus, pipeline
 from procex.bpmn import parse_bpmn
 from procex.cli import main
 from procex.corpus import Dataset, Document, Mention, Token, save_canonical
-from procex.llm import CachingClient, ChatRequest, ChatResponse, HttpProvider
+from procex.llm import CachingClient, HttpProvider
 from procex.pipeline import extract_document, run_cell, run_grid
-from procex.prompt import PromptConfig, PromptError, render_gold
+from procex.prompt import PromptConfig, PromptError
+
+from echo_provider import gold_echo
 
 DATA = Path(__file__).parent.parent / "data"
-
-TASK_MARKERS = {
-    "MD": "one line per mention",
-    "ER": "one line per entity",
-    "RE": "one line per relation",
-    "CE": "one line per constraint",
-}
-
-
-def gold_echo(dataset):
-    def provider(request: ChatRequest) -> ChatResponse:
-        text = request.prompt_text
-        task = next(t for t, mark in TASK_MARKERS.items() if mark in text)
-        raw = text.rsplit("Input: ", 1)[1][: -len("\nOutput:\n")]
-        doc = next(d for d in dataset.documents if d.raw_text == raw)
-        return ChatResponse("\n".join(render_gold(doc, task)), 0, 0, "gold-echo")
-
-    return provider
-
 
 @pytest.fixture(scope="module")
 def pet():
@@ -93,6 +76,22 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["extract", "--frobnicate"]) == 1
     assert "error: usage:" in capsys.readouterr().err
+
+
+def test_only_commands_that_draw_shots_take_a_seed(capsys, tmp_path):
+    # every ablation variant is zero-shot, so a seed would reach no prompt
+    code = main(["ablate", "--dataset", str(DATA / "pet.jsonl"), "--tasks", "MD",
+                 "--seed", "1", "--mode", "replay", "--cache", str(tmp_path / "c"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: usage: ")
+    assert not (tmp_path / "o").exists()
+    for command in (["extract", "--task", "MD"], ["grid"]):
+        args = cli.build_parser().parse_args(
+            command + ["--dataset", "d", "--seed", "1"])
+        assert args.seed == 1
 
 
 BAD_LIST_AND_COUNT_FLAGS = {
@@ -632,6 +631,25 @@ def test_cache_list_and_purge(pet, capsys, tmp_path):
     assert main(["cache", "purge", "--cache", str(cache)]) == 0
     assert f"removed {entry_count}" in capsys.readouterr().out
     assert list(cache.glob("*.json")) == []
+
+
+def test_cache_commands_touch_only_cache_entries(pet, capsys, tmp_path):
+    cache = tmp_path / "cache"
+    entry = record_one_entry(pet, cache)
+    others = [cache / "settings.json", cache / "schema.json",
+              cache / (entry.stem + "0.json"),
+              cache / (entry.stem[:-1] + ".json")]
+    for path in others:
+        path.write_text("{}", encoding="utf-8")
+
+    assert main(["cache", "list", "--cache", str(cache)]) == 0
+    out = capsys.readouterr().out
+    assert out == f"{entry.stem}  {entry.stat().st_size}\n1 cache entry\n"
+
+    assert main(["cache", "purge", "--cache", str(cache)]) == 0
+    assert capsys.readouterr().out == "removed 1 cache entry\n"
+    assert not entry.exists()
+    assert all(path.is_file() for path in others)
 
 
 @pytest.mark.parametrize("seconds", ["nan", "inf", "-1"])

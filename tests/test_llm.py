@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 import requests
 
+from procex import corpus
+from procex.corpus import Dataset
 from procex.llm import (
     CachingClient,
     ChatRequest,
@@ -18,9 +20,12 @@ from procex.llm import (
     TransientProviderError,
     cache_key,
 )
+from procex.pipeline import run_cell
+from procex.prompt import PromptConfig
 
 
-FIXTURE_CACHE = Path(__file__).resolve().parent.parent / "data" / "fixtures" / "replay_cache"
+DATA = Path(__file__).resolve().parent.parent / "data"
+FIXTURE_CACHE = DATA / "fixtures" / "replay_cache"
 
 
 def make_request(prompt="hello world", model="test-model"):
@@ -173,6 +178,7 @@ def test_retries_exhausted(tmp_path):
 # concurrency ceiling
 
 def test_concurrency_ceiling(tmp_path):
+    # the document pool of run_cell is the one bound on provider calls
     import time as _time
 
     active = 0
@@ -184,16 +190,18 @@ def test_concurrency_ceiling(tmp_path):
         with guard:
             active += 1
             peak = max(peak, active)
-        _time.sleep(0.02)
+        _time.sleep(0.03)
         with guard:
             active -= 1
-        return ChatResponse("ok", 1, 1, "slow")
+        return ChatResponse("", 0, 0, "slow")
 
+    pet = corpus.load_pet(DATA / "pet.jsonl")
+    dataset = Dataset(schema=pet.schema, documents=pet.documents[:10])
     client = CachingClient(tmp_path, slow_provider, "record", max_concurrency=2)
-    prompts = [f"prompt {i}" for i in range(8)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda p: client.complete(make_request(p)), prompts))
-    assert all(r.text == "ok" for r in results)
+    cell = run_cell(dataset, "MD", PromptConfig(task="MD", schema=pet.schema),
+                    client)
+    assert cell.failure is None
+    assert len(list(tmp_path.glob("*.json"))) == 10  # one call per document
     assert peak <= 2
 
 
@@ -328,6 +336,9 @@ def test_http_provider_null_usage_counts_no_tokens():
     {**ok_body(), "usage": {"prompt_tokens": None}},
     {**ok_body(), "usage": {"prompt_tokens": "many"}},
     {**ok_body(), "usage": {"completion_tokens": -1}},
+    {**ok_body(), "usage": {"prompt_tokens": "12"}},
+    {**ok_body(), "usage": {"prompt_tokens": 1.9}},
+    {**ok_body(), "usage": {"completion_tokens": True}},
     {"choices": []},
     {"choices": [{"message": "answer"}]},
     ["answer"],

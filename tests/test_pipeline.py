@@ -13,7 +13,7 @@ import pytest
 
 from procex import corpus, pipeline
 from procex.corpus import Dataset
-from procex.llm import CachingClient, ChatRequest, ChatResponse, ProviderError
+from procex.llm import CachingClient, ChatResponse, ProviderError
 from procex.parser import GroundedMention
 from procex.pipeline import (
     AblationReport,
@@ -25,33 +25,11 @@ from procex.pipeline import (
     run_cell,
     run_grid,
 )
-from procex.prompt import TASK_GOALS, PromptConfig, render_gold
+from procex.prompt import TASK_GOALS, PromptConfig
+
+from echo_provider import gold_echo
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-
-
-# the format section is the one part no ablation removes, so its
-# wording identifies the task in any variant's prompt
-TASK_MARKERS = {
-    "MD": "one line per mention",
-    "ER": "one line per entity",
-    "RE": "one line per relation",
-    "CE": "one line per constraint",
-}
-
-
-def gold_echo(dataset: Dataset):
-    """Provider answering each prompt with the target's gold lines."""
-
-    def provider(request: ChatRequest) -> ChatResponse:
-        text = request.prompt_text
-        task = next(t for t, mark in TASK_MARKERS.items() if mark in text)
-        tail = text.rsplit("Input: ", 1)[1]
-        raw = tail[: -len("\nOutput:\n")]
-        doc = next(d for d in dataset.documents if d.raw_text == raw)
-        return ChatResponse("\n".join(render_gold(doc, task)), 0, 0, "gold-echo")
-
-    return provider
 
 
 def echo_client(dataset, tmp_path, name="cache"):
