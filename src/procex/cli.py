@@ -273,9 +273,17 @@ def _resolve(args, name: str, default=None):
 CONFIG_SHAPE = {"model?": str, "mode?": str, "cache?": str, "out?": str}
 
 
+def _cache_dir(args) -> Path:
+    """The cache directory setting; a path that exists as a file is a data error."""
+    cache_dir = Path(_resolve(args, "cache", ".procex-cache"))
+    if cache_dir.exists() and not cache_dir.is_dir():
+        raise LoadError(f"cache {cache_dir} is not a directory")
+    return cache_dir
+
+
 def _make_client(args) -> CachingClient:
     mode = _resolve(args, "mode", "record")
-    cache_dir = Path(_resolve(args, "cache", ".procex-cache"))
+    cache_dir = _cache_dir(args)
     # no provider unless recording; CachingClient rejects a misspelled mode
     provider = HttpProvider.from_env() if mode == "record" else None
     return CachingClient(cache_dir, provider, mode=mode)
@@ -483,7 +491,7 @@ def cmd_generate_bpmn(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    cache_dir = Path(_resolve(args, "cache", ".procex-cache"))
+    cache_dir = _cache_dir(args)
     if args.action == "list":
         if not cache_dir.is_dir():
             print(f"cache {cache_dir} is empty")

@@ -19,6 +19,7 @@ from importlib import resources
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 FORMAT_VERSION = 1
 
@@ -50,15 +51,17 @@ def normalize_phrase(text: str) -> str:
     return " ".join(text.casefold().split()).strip(PHRASE_EDGES)
 
 
-@dataclass(frozen=True)
-class Token:
+# records built once per token or annotation are NamedTuples: same
+# fields, hash and repr as a frozen dataclass, and cheaper to build
+
+
+class Token(NamedTuple):
     text: str
     index: int
     sentence_index: int
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     id: str
     mention_type: str
     token_indices: tuple[int, ...]
@@ -70,8 +73,7 @@ class Entity:
     mention_ids: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     id: str
     relation_type: str
     source_mention_id: str
@@ -465,7 +467,8 @@ def check(value, shape, what: str):
     """Return value, decoded JSON, if it has the given shape; else raise LoadError.
 
     A shape is plain data: a type or a tuple of types, matched with
-    isinstance; [shape] for an array; {field: shape} for an object,
+    isinstance, except that int does not match a JSON boolean (bool
+    subclasses int); [shape] for an array; {field: shape} for an object,
     where a trailing "?" marks an optional field and fields the shape
     does not name are allowed; {str: shape} for a map. what names the
     value in the error, as in "line 3: document"; a field inside it is
@@ -480,10 +483,14 @@ def _check_all(values: list, shape, what: str, path: str) -> None:
     # one shape node at a time across all values, so a list of thousands
     # of objects costs a few passes per field; messages only on failure
     kind = type(shape) if type(shape) in (list, dict) else shape
+    found = None
     if not all(map(isinstance, values, repeat(kind))):
-        bad = next(v for v in values if not isinstance(v, kind))
+        found = type(next(v for v in values if not isinstance(v, kind)))
+    elif kind is int and bool in set(map(type, values)):  # bool subclasses int
+        found = bool
+    if found is not None:
         subject = f"{what} field {path!r}" if path else what
-        raise LoadError(f"{subject} is {_json_type(type(bad))}, not {_json_type(kind)}")
+        raise LoadError(f"{subject} is {_json_type(found)}, not {_json_type(kind)}")
     if kind is shape:
         return
     if kind is list:
@@ -576,10 +583,7 @@ def _pet_document(record: dict, schema: SchemaDescriptor, line_no: int) -> Docum
             f"line {line_no}: tokens ({len(words)}), sentence-IDs ({len(sentence_ids)}) "
             f"and ner-tags ({len(tags)}) differ in length"
         )
-    tokens = tuple(
-        Token(text=w, index=i, sentence_index=s)
-        for i, (w, s) in enumerate(zip(words, sentence_ids))
-    )
+    tokens = _records(Token, zip(words, range(len(words)), sentence_ids))
     decoded = decode_bio(tags, line_no)
     mentions = []
     for ordinal, (type_name, span) in enumerate(decoded):
@@ -623,6 +627,11 @@ def _pet_document(record: dict, schema: SchemaDescriptor, line_no: int) -> Docum
         entities=tuple(entities),
         relations=tuple(relations),
     )
+
+
+def _records(cls, rows) -> tuple:
+    """cls NamedTuples from rows of field values, with no Python call per row."""
+    return tuple(map(tuple.__new__, repeat(cls), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -685,23 +694,21 @@ def document_from_record(record: dict, what: str = "document") -> Document:
     if version != FORMAT_VERSION:
         raise LoadError(f"{what} has unsupported format_version {version!r}")
     get = check(record, DOCUMENT_SHAPE, what).get
+    mentions = get("mentions", ())
     return Document(
         id=record["id"],
         raw_text=record["text"],
-        tokens=tuple(
-            Token(t["text"], t["index"], t["sentence_index"]) for t in get("tokens", ())
-        ),
-        mentions=tuple(
-            Mention(m["id"], m["mention_type"], tuple(m["token_indices"]))
-            for m in get("mentions", ())
-        ),
+        tokens=_records(Token, map(itemgetter("text", "index", "sentence_index"),
+                                   get("tokens", ()))),
+        mentions=_records(Mention, zip(map(itemgetter("id"), mentions),
+                                       map(itemgetter("mention_type"), mentions),
+                                       map(tuple, map(itemgetter("token_indices"), mentions)))),
         entities=tuple(
             Entity(e["id"], frozenset(e["mention_ids"])) for e in get("entities", ())
         ),
-        relations=tuple(
-            Relation(r["id"], r["relation_type"], r["source_mention_id"], r["target_mention_id"])
-            for r in get("relations", ())
-        ),
+        relations=_records(Relation, map(itemgetter("id", "relation_type", "source_mention_id",
+                                                    "target_mention_id"),
+                                         get("relations", ()))),
         constraints=tuple(
             Constraint(c["id"], c["constraint_type"], c["negated"], c["first_action"],
                        c.get("second_action"))

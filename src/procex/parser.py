@@ -4,16 +4,19 @@ The output grammar is pipe-delimited, one record per line. Parsing is
 total: malformed input becomes error accounting, never an exception.
 Grounding maps surface strings back to token spans of the source
 document: the first unused window, left to right, whose normalized text
-matches.  A per-document window index finds the candidate windows
-without rescanning the document for every surface.
+matches.  A per-document index holds the document's normalized text
+and finds each distinct normalized surface in it once, by string
+search, without rescanning the token windows for every surface.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
-from operator import and_
+from itertools import accumulate
+from operator import add, attrgetter
+from typing import NamedTuple
 
 from .corpus import (
     PHRASE_EDGES,
@@ -25,8 +28,12 @@ from .corpus import (
 )
 
 
-@dataclass(frozen=True)
-class ParsedMention:
+# records built once per response line or grounded window are
+# NamedTuples: same fields, hash and repr as a frozen dataclass, and
+# cheaper to build
+
+
+class ParsedMention(NamedTuple):
     mention_type: str
     surface: str
 
@@ -36,8 +43,7 @@ class ParsedCluster:
     surfaces: tuple
 
 
-@dataclass(frozen=True)
-class ParsedRelation:
+class ParsedRelation(NamedTuple):
     relation_type: str
     source_surface: str
     target_surface: str
@@ -68,15 +74,13 @@ class ParseReport:
         return len(self.error_lines)
 
 
-@dataclass(frozen=True)
-class GroundedMention:
+class GroundedMention(NamedTuple):
     mention_type: str
     token_indices: tuple
     matched_surface: str
 
 
-@dataclass(frozen=True)
-class GroundedRelation:
+class GroundedRelation(NamedTuple):
     relation_type: str
     source_indices: tuple | None
     source_surface: str
@@ -183,40 +187,73 @@ def parse(raw: str, task: str, schema: SchemaDescriptor) -> ParseReport:
 _is_wordlike = re.compile(r"[^\W_]").search
 
 
+def _wordlike(word: str) -> bool:
+    # isalnum answers most words without the regex
+    return word.isalnum() or _is_wordlike(word) is not None
+
+
+_EDGE_CHARS = frozenset(PHRASE_EDGES)
+
+
 class WindowIndex:
-    """The token windows of one document, keyed by normalized text.
+    """The normalized text of one document, searched once per surface.
 
     Each token is normalized once (case-folded, whitespace collapsed);
-    a window's key joins its tokens' non-empty pieces and strips edge
-    punctuation, which equals normalize_phrase of the window's text.
-    Windows of one width are indexed the first time a surface of that
-    width is grounded; only windows whose first and last tokens are
-    wordlike go in.  Each key maps to its start positions in ascending
-    order, so the first free start is the leftmost matching window.
+    the non-empty pieces joined by single spaces make the document's
+    text, and each token's piece keeps its character offset in it.  A
+    window's key, its pieces joined with edge punctuation stripped
+    (normalize_phrase of the window's text), is a slice of that text, so
+    each distinct normalized surface is found with str.find, once.  An
+    occurrence is a window when it spans exactly the surface's width in
+    tokens, its first and last tokens are wordlike, and only
+    PHRASE_EDGES lie between its ends and those tokens' piece
+    boundaries.  The starts found are ascending, so the first free
+    start is the leftmost matching window; memory stays linear in the
+    document and in the surfaces asked about.
     """
 
     def __init__(self, doc: Document):
-        self.words = [t.text for t in doc.tokens]
-        self.wordlike = [_is_wordlike(w) is not None for w in self.words]
-        self._pieces = [" ".join(w.casefold().split()) for w in self.words]
-        self._gaps = not all(self._pieces)  # a token of whitespace only
-        self._by_width: dict = {}
-        self._targets: dict = {}  # surface -> (normalized text, width)
+        self.words = list(map(attrgetter("text"), doc.tokens))
+        folded = list(map(str.casefold, self.words))
+        joined = " ".join(folded)
+        self._text = " ".join(joined.split())
+        # each token's piece; the folded tokens themselves when none holds
+        # whitespace beyond single inner spaces and none is empty
+        pieces = self._pieces = (folded if self._text == joined
+                                 else [" ".join(f.split()) for f in folded])
+        # offset of each token's piece; an empty piece takes the offset
+        # of the next non-empty one, so bisect finds a piece's owner
+        self._offsets = list(accumulate(map(add, map(len, pieces), map(bool, pieces)),
+                                        initial=0))
+        self._by_text: dict = {}  # normalized text -> (starts, width)
+        self._targets: dict = {}  # surface -> (starts, width)
 
-    def _table(self, width: int) -> dict:
-        table = self._by_width.get(width)
-        if table is None:
-            table = self._by_width[width] = {}
-            pieces, gaps = self._pieces, self._gaps
-            # starts whose first and last tokens are both wordlike
-            starts = compress(range(len(pieces) - width + 1),
-                              map(and_, self.wordlike, self.wordlike[width - 1:]))
-            for start in starts:
-                key = " ".join(pieces[start:start + width])
-                if gaps:
-                    key = " ".join(key.split())
-                table.setdefault(key.strip(PHRASE_EDGES), []).append(start)
-        return table
+    def _search(self, text: str) -> tuple:
+        """(ascending starts, width) of the windows whose key is text."""
+        if not text:
+            return (), 0
+        width = len(text.split())
+        haystack, offsets, pieces, words = (self._text, self._offsets,
+                                            self._pieces, self.words)
+        size, length, tokens = len(text), len(haystack), len(words)
+        starts = []
+        at = haystack.find(text)
+        while at >= 0:
+            stop = at + size
+            # an occurrence that starts or ends inside a word is no window
+            if ((at == 0 or haystack[at - 1] in _EDGE_CHARS)
+                    and (stop == length or haystack[stop] in _EDGE_CHARS)):
+                first = bisect_right(offsets, at) - 1
+                last = first + width - 1
+                if last < tokens:
+                    begin, end = offsets[first], offsets[last] + len(pieces[last])
+                    if (offsets[last] < stop <= end
+                            and _wordlike(words[first]) and _wordlike(words[last])
+                            and (at == begin or not haystack[begin:at].strip(PHRASE_EDGES))
+                            and (stop == end or not haystack[stop:end].strip(PHRASE_EDGES))):
+                        starts.append(first)
+            at = haystack.find(text, at + 1)
+        return starts, width
 
     def find(self, surface: str, used_tokens: set):
         """(start, width) of the first window matching surface with no
@@ -227,11 +264,11 @@ class WindowIndex:
         target = self._targets.get(surface)
         if target is None:
             text = normalize_phrase(surface)
-            target = self._targets[surface] = (text, len(text.split()))
-        text, width = target
-        if not text:
-            return None
-        for start in self._table(width).get(text, ()):
+            if text not in self._by_text:
+                self._by_text[text] = self._search(text)
+            target = self._targets[surface] = self._by_text[text]
+        starts, width = target
+        for start in starts:
             if start in used_tokens:  # a window claimed before
                 continue
             span = range(start, start + width)
@@ -246,11 +283,8 @@ class WindowIndex:
         if hit is None:
             return None
         start, width = hit
-        return GroundedMention(
-            mention_type=mention_type,
-            token_indices=tuple(range(start, start + width)),
-            matched_surface=" ".join(self.words[start:start + width]),
-        )
+        return GroundedMention(mention_type, tuple(range(start, start + width)),
+                               " ".join(self.words[start:start + width]))
 
 
 def ground_report(report: ParseReport, doc: Document):

@@ -242,7 +242,14 @@ def set_entry_text_to_a_number(path):
     path.write_text(json.dumps(entry), encoding="utf-8")
 
 
-@pytest.mark.parametrize("damage", [truncate_entry, set_entry_text_to_a_number])
+def set_entry_token_count_to_true(path):
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["response"]["input_token_count"] = True
+    path.write_text(json.dumps(entry), encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [truncate_entry, set_entry_text_to_a_number,
+                                    set_entry_token_count_to_true])
 def test_damaged_cache_entry_is_data_error_naming_it(damage, pet, capsys,
                                                      tmp_path):
     path = record_one_entry(pet, tmp_path / "c")
@@ -325,6 +332,31 @@ def test_misspelled_mode_is_data_error_before_any_provider(source, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: data: unknown mode 'replya'"], err
+
+
+CACHE_COMMANDS = {
+    "extract-record": ["extract", "--dataset", str(DATA / "pet.jsonl"), "--task",
+                       "MD", "--doc", "doc-1.1", "--mode", "record"],
+    "extract-replay": ["extract", "--dataset", str(DATA / "pet.jsonl"), "--task",
+                       "MD", "--doc", "doc-1.1", "--mode", "replay"],
+    "grid-replay": ["grid", "--dataset", str(DATA / "pet.jsonl"), "--tasks", "MD",
+                    "--shots", "0", "--mode", "replay"],
+    "cache-list": ["cache", "list"],
+    "cache-purge": ["cache", "purge"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CACHE_COMMANDS))
+def test_cache_path_naming_a_file_is_data_error_before_any_provider(
+        command, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "HttpProvider", _NoProvider)
+    monkeypatch.chdir(tmp_path)  # a command that got past the check writes here
+    cache = tmp_path / "cache"
+    cache.write_text("not a cache\n", encoding="utf-8")
+    assert main(CACHE_COMMANDS[command] + ["--cache", str(cache)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: data: cache {cache} is not a directory"], err
+    assert cache.read_text(encoding="utf-8") == "not a cache\n"
 
 
 MALFORMED_CONFIGS = {
@@ -730,6 +762,17 @@ MALFORMED_DATASETS = {
                                           [None] * len(record["sentence-IDs"])),
     ),
     "pet-tokens-not-a-list": ("pet.jsonl", 1, _set("tokens", 5)),
+    # JSON booleans are not integers, though Python's bool subclasses int
+    "pet-relation-source-a-boolean": (
+        "pet.jsonl", 1,
+        lambda record: record["relations"][0].__setitem__("source-mention-id", True),
+    ),
+    "pet-sentence-id-a-boolean": (
+        "pet.jsonl", 1, lambda record: record["sentence-IDs"].__setitem__(0, False),
+    ),
+    "canonical-token-index-a-boolean": (
+        "decon.jsonl", 2, lambda record: record["tokens"][1].__setitem__("index", True),
+    ),
 }
 
 # Schema records with a field of the wrong JSON type or a missing field,

@@ -1,7 +1,8 @@
 """Parser and grounding tests."""
 
+import tracemalloc
+from bisect import bisect_right
 from collections import Counter
-from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -374,8 +375,9 @@ def test_is_wordlike_matches_isalnum_on_every_code_point():
     mismatched = [hex(c) for c in range(0x110000)
                   if (parser._is_wordlike(chr(c)) is not None) != chr(c).isalnum()]
     assert mismatched == []
-    for text in ("", "--", "_", "a_", "(x)", "\u3000", " 1 "):
+    for text in ("", "--", "_", "a_", "(x)", "\u3000", " 1 ", "ab", "a.b", "ß"):
         assert (parser._is_wordlike(text) is not None) == any(ch.isalnum() for ch in text)
+        assert parser._wordlike(text) == any(ch.isalnum() for ch in text)
 
 
 def concatenated(documents, k):
@@ -395,25 +397,40 @@ def concatenated(documents, k):
 
 
 def test_grounding_cost_grows_linearly(pet, pet_schema, monkeypatch):
-    # counts the windows entered into WindowIndex tables: each start that
-    # a width's table build takes from itertools.compress
-    windows = [0]
+    # counts the occurrences WindowIndex verifies: each one that passes
+    # the one-character word-edge tests takes one bisect_right call
+    verified = [0]
 
-    def counted(data, selectors):
-        for start in compress(data, selectors):
-            windows[0] += 1
-            yield start
+    def counted(offsets, at):
+        verified[0] += 1
+        return bisect_right(offsets, at)
 
-    monkeypatch.setattr(parser, "compress", counted)
+    monkeypatch.setattr(parser, "bisect_right", counted)
     counts = []
     for k in (1, 2):
         doc = concatenated(pet.documents, k)
         report = parse("\n".join(render_gold(doc, "MD")), "MD", pet_schema)
-        windows[0] = 0
+        verified[0] = 0
         grounded, ungrounded = ground_report(report, doc)
         assert len(grounded) == len(doc.mentions) and not ungrounded
-        counts.append(windows[0])
+        counts.append(verified[0])
     assert counts[0] > 0 and counts[1] <= 2.2 * counts[0], counts
+
+
+def test_grounding_memory_does_not_grow_with_distinct_widths(pet, pet_schema):
+    # one junk surface of each width from 1 to 200: an index holding a
+    # table of windows per width asked about peaks near 100 MB here
+    doc = concatenated(pet.documents, 2)
+    raw = "\n".join("activity|" + " ".join(["zq"] * width) for width in range(1, 201))
+    report = parse(raw, "MD", pet_schema)
+    tracemalloc.start()
+    try:
+        grounded, ungrounded = ground_report(report, doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grounded == [] and len(ungrounded) == 200
+    assert peak < 10 * 2**20, peak
 
 
 def test_grounding_normalizes_each_distinct_surface_once(pet, pet_schema, monkeypatch):
