@@ -288,31 +288,6 @@ def consolidate(doc: Document, schema: SchemaDescriptor) -> Document:
 # ---------------------------------------------------------------------------
 # vertices
 
-def _clusters(doc: Document, role_mentions):
-    """Entities of one role's mentions plus singletons, by first occurrence.
-
-    Returns one mention list per cluster; an entity belongs to the role
-    iff all its members do.
-    """
-    mmap = doc.mention_map()
-    role_ids = {m.id for m in role_mentions}
-    clusters = []
-    clustered: set = set()
-    for e in doc.entities:
-        if e.mention_ids and set(e.mention_ids) <= role_ids:
-            members = sorted(
-                (mmap[mid] for mid in e.mention_ids),
-                key=lambda m: m.token_indices[0],
-            )
-            clusters.append(members)
-            clustered |= set(e.mention_ids)
-    for m in role_mentions:
-        if m.id not in clustered:
-            clusters.append([m])
-    clusters.sort(key=lambda members: members[0].token_indices[0])
-    return clusters
-
-
 def _longest_surface(doc: Document, members) -> str:
     # members arrive ordered by first occurrence, so a length tie
     # resolves to the earliest mention
@@ -326,7 +301,7 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
 
     lanes: list = []
     lane_of_actor_mention: dict = {}
-    for members in _clusters(doc, roles["actor"]):
+    for members in doc.clusters(roles["actor"]):
         label = _longest_surface(doc, members)
         lane = Lane(ids.make("lane", label), label)
         lanes.append(lane)
@@ -339,8 +314,8 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
 
     activities = roles["activity"]
     gateways = sorted(
-        [(XOR, members) for members in _clusters(doc, roles["xor_gateway"])]
-        + [(AND, members) for members in _clusters(doc, roles["and_gateway"])],
+        [(XOR, members) for members in doc.clusters(roles["xor_gateway"])]
+        + [(AND, members) for members in doc.clusters(roles["and_gateway"])],
         key=lambda pair: pair[1][0].token_indices[0],
     )
     nearest_actor = _nearest_left_index(roles["actor"])
@@ -387,7 +362,7 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
         for m in members:
             mention_nodes[m.id] = node.id
 
-    for members in _clusters(doc, roles["data"]):
+    for members in doc.clusters(roles["data"]):
         label = _longest_surface(doc, members)
         node = Node(ids.make("data", label), DATA, label, None)
         nodes.append(node)

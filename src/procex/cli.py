@@ -6,8 +6,9 @@ provider problem.  Every failure writes one line to stderr shaped
 
 Settings follow flag > environment > config file.  Environment names
 are the upper-cased flag with a PROCEX_ prefix (PROCEX_MODEL,
-PROCEX_MODE, PROCEX_CACHE, PROCEX_OUT); a --config JSON file may
-hold the same keys in lower case.
+PROCEX_MODE, PROCEX_CACHE, PROCEX_OUT); a --config JSON file, taken
+by extract, grid, ablate and cache, may hold the same keys in lower
+case.
 """
 
 from __future__ import annotations
@@ -201,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate",
                        help="score a predictions file against gold")
     add_dataset(p)
-    add_config(p)
     p.add_argument("--task", required=True)
     p.add_argument("--predictions", required=True,
                    help="predictions.jsonl from an extraction run")
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-bpmn",
                        help="compile a document's annotations to BPMN 2.0 XML")
-    add_config(p)
     p.add_argument("--in", dest="infile", required=True,
                    help="document file (canonical format)")
     p.add_argument("--doc", help="document id when the file holds several")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import chain, repeat
@@ -24,6 +24,12 @@ from typing import NamedTuple
 FORMAT_VERSION = 1
 
 TASKS = ("MD", "ER", "RE", "CE")
+
+# the values each match-policy setting may take
+MATCH_POLICY_VALUES = {
+    "span_mode": ("exact_span", "text_match"),
+    "constraint_normalization": ("verbatim", "lemma_like"),
+}
 
 
 class LoadError(Exception):
@@ -104,6 +110,21 @@ class Document:
 
     def surface(self, mention: Mention) -> str:
         return " ".join(self.tokens[i].text for i in mention.token_indices)
+
+    def clusters(self, mentions) -> list[list[Mention]]:
+        """The entities made only of the given mentions, plus a singleton
+        for each other given mention.
+
+        Members and clusters are ordered by first token; entities with
+        no mentions are skipped.
+        """
+        ids = {m.id for m in mentions}
+        mmap = self.mention_map()
+        groups = [sorted(map(mmap.get, e.mention_ids), key=lambda m: m.token_indices[0])
+                  for e in self.entities if e.mention_ids and e.mention_ids <= ids]
+        clustered = {m.id for members in groups for m in members}
+        groups.extend([m] for m in mentions if m.id not in clustered)
+        return sorted(groups, key=lambda members: members[0].token_indices[0])
 
 
 @dataclass(frozen=True)
@@ -216,24 +237,15 @@ class SchemaDescriptor:
         for task in self.tasks:
             if task not in TASKS:
                 problems.append(f"unknown task {task!r}")
+        for name, allowed in MATCH_POLICY_VALUES.items():
+            if name in self.match_policy and self.match_policy[name] not in allowed:
+                problems.append(f"unknown match_policy {name} {self.match_policy[name]!r} "
+                                f"(allowed: {', '.join(allowed)})")
         return problems
 
     def to_record(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "dataset_name": self.dataset_name,
-            "mention_types": list(self.mention_types),
-            "relation_types": list(self.relation_types),
-            "constraint_types": list(self.constraint_types),
-            "unary_constraint_types": sorted(self.unary_constraint_types),
-            "definitions": dict(self.definitions),
-            "hints": {k: list(v) for k, v in self.hints.items()},
-            "considerations": list(self.considerations),
-            "tasks": list(self.tasks),
-            "mention_roles": {k: list(v) for k, v in self.mention_roles.items()},
-            "relation_roles": {k: list(v) for k, v in self.relation_roles.items()},
-            "match_policy": dict(self.match_policy),
-        }
+        return {**asdict(self), "format_version": FORMAT_VERSION,
+                "unary_constraint_types": sorted(self.unary_constraint_types)}
 
     @classmethod
     def from_record(cls, record: dict, what: str = "schema") -> "SchemaDescriptor":
@@ -456,6 +468,9 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         if doc.id in seen:
             problems.append(f"duplicate document id {doc.id}")
         seen.add(doc.id)
+        # run directories name per-document files after the id
+        if any(ch in doc.id for ch in "/\\\0"):
+            problems.append(f"document id {doc.id!r} contains '/', '\\' or NUL")
         problems.extend(f"{doc.id}: {p}" for p in validate(doc, dataset.schema))
     return problems
 
@@ -642,36 +657,11 @@ def document_to_record(doc: Document) -> dict:
         "format_version": FORMAT_VERSION,
         "id": doc.id,
         "text": doc.raw_text,
-        "tokens": [
-            {"text": t.text, "index": t.index, "sentence_index": t.sentence_index}
-            for t in doc.tokens
-        ],
-        "mentions": [
-            {"id": m.id, "mention_type": m.mention_type, "token_indices": list(m.token_indices)}
-            for m in doc.mentions
-        ],
-        "entities": [
-            {"id": e.id, "mention_ids": sorted(e.mention_ids)} for e in doc.entities
-        ],
-        "relations": [
-            {
-                "id": r.id,
-                "relation_type": r.relation_type,
-                "source_mention_id": r.source_mention_id,
-                "target_mention_id": r.target_mention_id,
-            }
-            for r in doc.relations
-        ],
-        "constraints": [
-            {
-                "id": c.id,
-                "constraint_type": c.constraint_type,
-                "negated": c.negated,
-                "first_action": c.first_action,
-                "second_action": c.second_action,
-            }
-            for c in doc.constraints
-        ],
+        "tokens": [t._asdict() for t in doc.tokens],
+        "mentions": [m._asdict() for m in doc.mentions],
+        "entities": [{"id": e.id, "mention_ids": sorted(e.mention_ids)} for e in doc.entities],
+        "relations": [r._asdict() for r in doc.relations],
+        "constraints": [asdict(c) for c in doc.constraints],
     }
 
 

@@ -14,9 +14,10 @@ the formulas applied once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .corpus import (
+    MATCH_POLICY_VALUES,
     Document,
     Mention,
     SchemaDescriptor,
@@ -59,21 +60,14 @@ class MatchPolicy:
     constraint_normalization: str = "verbatim"
 
     def __post_init__(self):
-        if self.span_mode not in ("exact_span", "text_match"):
-            raise ValueError(f"unknown span_mode {self.span_mode!r}")
-        if self.constraint_normalization not in ("verbatim", "lemma_like"):
-            raise ValueError(
-                f"unknown constraint_normalization {self.constraint_normalization!r}"
-            )
+        for name, allowed in MATCH_POLICY_VALUES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
 
     @classmethod
     def from_schema(cls, schema: SchemaDescriptor) -> "MatchPolicy":
-        raw = dict(schema.match_policy)
-        return cls(
-            span_mode=raw.get("span_mode", "exact_span"),
-            type_sensitive=bool(raw.get("type_sensitive", True)),
-            constraint_normalization=raw.get("constraint_normalization", "verbatim"),
-        )
+        raw = schema.match_policy
+        return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})
 
 
 def scores_from_counts(counts: ConfusionCounts) -> TaskScores:

@@ -163,6 +163,9 @@ class HttpProvider:
 CACHE_ENTRY_SHAPE = {"response": {"text": str, "input_token_count": int,
                                   "output_token_count": int, "provider_name": str}}
 
+# the ChatResponse fields an entry stores
+_RESPONSE_FIELDS = tuple(CACHE_ENTRY_SHAPE["response"])
+
 
 class CachingClient:
     """Record/replay front of any provider callable."""
@@ -199,25 +202,15 @@ class CachingClient:
         entry = decode_json(path.read_text(encoding="utf-8"), str(path))
         stored = check(entry, CACHE_ENTRY_SHAPE, f"{path}: cache entry")["response"]
         try:
-            return ChatResponse(
-                text=stored["text"],
-                input_token_count=stored["input_token_count"],
-                output_token_count=stored["output_token_count"],
-                provider_name=stored["provider_name"],
-                retrieved_from_cache=True,
-            )
+            return ChatResponse(**{name: stored[name] for name in _RESPONSE_FIELDS},
+                                retrieved_from_cache=True)
         except ValueError as exc:  # a negative token count
             raise LoadError(f"{path}: {exc}") from exc
 
     def _store(self, path: Path, request: ChatRequest, response: ChatResponse) -> None:
         entry = {
             "request": request.to_record(),
-            "response": {
-                "text": response.text,
-                "input_token_count": response.input_token_count,
-                "output_token_count": response.output_token_count,
-                "provider_name": response.provider_name,
-            },
+            "response": {name: getattr(response, name) for name in _RESPONSE_FIELDS},
         }
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         # unique per process and thread, and a thread writes one entry at a

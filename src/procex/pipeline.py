@@ -91,17 +91,7 @@ class RunManifest:
     toolkit_version: str = __version__
 
     def to_record(self) -> dict:
-        return {
-            "dataset_name": self.dataset_name,
-            "task": self.task,
-            "model_id": self.model_id,
-            "shot_count": self.shot_count,
-            "shot_seed": self.shot_seed,
-            "prompt_fingerprints": dict(sorted(self.prompt_fingerprints.items())),
-            "cache_mode": self.cache_mode,
-            "timestamp": self.timestamp,
-            "toolkit_version": self.toolkit_version,
-        }
+        return dataclasses.asdict(self)
 
     @property
     def manifest_id(self) -> str:

@@ -152,30 +152,16 @@ def first_sentence(text: str) -> str:
     return text[: m.start()].strip() if m else text.strip()
 
 
-def _type_definitions(config: PromptConfig) -> str:
+def _per_type_lines(config: PromptConfig) -> tuple[str, str]:
+    """The task's type definitions and its disambiguation hints, a line per type."""
     schema = config.schema
-    short = config.brevity == "very_short"
-    lines = []
+    shorten = first_sentence if config.brevity == "very_short" else str
+    definitions, hints = [], []
     for name in schema.types_for_task(config.task):
-        definition = schema.definitions[name]
-        if short:
-            definition = first_sentence(definition)
-        lines.append(f"{name}: {definition}")
-    return "\n".join(lines)
-
-
-def _disambiguation_hints(config: PromptConfig) -> str:
-    schema = config.schema
-    short = config.brevity == "very_short"
-    lines = []
-    for name in schema.types_for_task(config.task):
-        hints = schema.hints.get(name, ())
-        if not hints:
-            continue
-        if short:
-            hints = tuple(first_sentence(h) for h in hints)
-        lines.append(f"{name}: {' '.join(hints)}")
-    return "\n".join(lines)
+        definitions.append(f"{name}: {shorten(schema.definitions[name])}")
+        if schema.hints.get(name):
+            hints.append(f"{name}: {' '.join(map(shorten, schema.hints[name]))}")
+    return "\n".join(definitions), "\n".join(hints)
 
 
 def _format_rules(config: PromptConfig) -> str:
@@ -277,16 +263,8 @@ def render_gold(doc: Document, task: str) -> list:
         ordered = sorted(doc.mentions, key=lambda m: m.token_indices[0])
         return [f"{m.mention_type.lower()}|{doc.surface(m)}" for m in ordered]
     if task == "ER":
-        mmap = doc.mention_map()
-        clustered = {mid for e in doc.entities for mid in e.mention_ids}
-        groups = [
-            sorted((mmap[mid] for mid in e.mention_ids),
-                   key=lambda m: m.token_indices[0])
-            for e in doc.entities
-        ]
-        groups.extend([m] for m in doc.mentions if m.id not in clustered)
-        groups.sort(key=lambda ms: ms[0].token_indices[0])
-        return ["|".join(["entity"] + [doc.surface(m) for m in ms]) for ms in groups]
+        return ["|".join(["entity"] + [doc.surface(m) for m in ms])
+                for ms in doc.clusters(doc.mentions)]
     if task == "RE":
         mmap = doc.mention_map()
         return [
@@ -341,11 +319,12 @@ def assemble(
             list(shot_pool), config.shot_count, target.id, config.shot_seed, config.task
         )
 
+    type_definitions, disambiguation_hints = _per_type_lines(config)
     values = {
         "task_goal": TASK_GOALS[config.task],
-        "type_definitions": _type_definitions(config),
+        "type_definitions": type_definitions,
         "considerations": "\n".join(config.schema.considerations),
-        "disambiguation_hints": _disambiguation_hints(config),
+        "disambiguation_hints": disambiguation_hints,
         "format_rules": _format_rules(config),
         "format_example_lines": _format_example_lines(config),
         "examples": _render_examples(shots),

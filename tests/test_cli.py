@@ -827,3 +827,97 @@ def test_malformed_schema_file_is_data_error(case, capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith(f"error: data: schema {schema}: "), err
+
+
+# ---------------------------------------------------------------------------
+# checks made when a dataset or schema loads
+
+def _pet_with_id(path, doc_id):
+    lines = (DATA / "pet.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["document name"] = doc_id
+    path.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n",
+                    encoding="utf-8")
+
+
+def _canonical_with_id(path, doc_id):
+    lines = (DATA / "decon.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["id"] = doc_id
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("layout", ["pet", "canonical"])
+@pytest.mark.parametrize("doc_id", ["../../escaped", "a/b", "..\\escaped", "nul\0id"])
+def test_document_id_naming_a_path_is_data_error_before_any_provider(
+        layout, doc_id, capsys, tmp_path, monkeypatch):
+    # run directories hold prompts/<id>.txt and responses/<id>.txt
+    monkeypatch.setattr(cli, "HttpProvider", _NoProvider)
+    dataset = tmp_path / "in" / "data.jsonl"
+    dataset.parent.mkdir()
+    (_pet_with_id if layout == "pet" else _canonical_with_id)(dataset, doc_id)
+    out = tmp_path / "a" / "b" / "runs"
+    code = main(["extract", "--dataset", str(dataset), "--task", "MD",
+                 "--mode", "record", "--cache", str(tmp_path / "c"),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: data: document id {doc_id!r} contains"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
+BAD_MATCH_POLICIES = {
+    "span-mode-exact": {"span_mode": "exact"},
+    "constraint-normalization-lemma": {"constraint_normalization": "lemma"},
+}
+
+
+@pytest.mark.parametrize("source", ["header", "schema-file"])
+@pytest.mark.parametrize("case", sorted(BAD_MATCH_POLICIES))
+def test_unknown_match_policy_value_is_data_error_at_load(source, case, capsys,
+                                                         tmp_path):
+    lines = (DATA / "decon.jsonl").read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["schema"]["match_policy"].update(BAD_MATCH_POLICIES[case])
+    argv = ["extract", "--task", "MD", "--mode", "replay",
+            "--cache", str(tmp_path / "empty-cache"), "--out", str(tmp_path / "o")]
+    if source == "header":
+        dataset = tmp_path / "decon.jsonl"
+        dataset.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n",
+                           encoding="utf-8")
+        argv += ["--dataset", str(dataset)]
+    else:
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(header["schema"]), encoding="utf-8")
+        argv += ["--dataset", str(DATA / "decon.jsonl"), "--schema", str(schema)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    (name, value), = BAD_MATCH_POLICIES[case].items()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: data: "), err
+    assert f"unknown match_policy {name} {value!r}" in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "generate-bpmn"])
+def test_config_flag_only_where_it_has_an_effect(command, capsys, tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"out": "elsewhere", "cache": "zz"}), encoding="utf-8")
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    argv = {
+        "evaluate": ["evaluate", "--dataset", str(DATA / "pet.jsonl"), "--task", "MD",
+                     "--predictions", str(predictions)],
+        "generate-bpmn": ["generate-bpmn", "--in", str(DATA / "fixtures" / "doc33.json"),
+                          "--out", str(tmp_path / "claim.bpmn")],
+    }[command]
+    assert main(argv + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: usage: unrecognized arguments: --config {config}", err
+    assert not (tmp_path / "claim.bpmn").exists()
+    # the commands that resolve a setting from the file keep the flag
+    for kept in (["extract", "--task", "MD", "--dataset", "d"], ["grid", "--dataset", "d"],
+                 ["ablate", "--dataset", "d"], ["cache", "list"]):
+        assert cli.build_parser().parse_args(kept + ["--config", "x"]).config == "x"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -597,3 +598,14 @@ def test_schema_copy_resolves_after_the_original_was_queried():
     assert narrowed.mention_role_of("Activity") == "actor"
     assert narrowed.relation_role_of("flow") == "sequence"
     assert [resolve(name) for resolve, name in queries] == before
+
+
+# ---------------------------------------------------------------------------
+# The writers' bytes: a dropped, renamed or re-typed field shows here
+
+@pytest.mark.parametrize("name", ["decon.jsonl", "atdp.jsonl", "fixtures/doc33.json"])
+def test_canonical_files_resave_byte_for_byte(name, tmp_path):
+    source = Path(__file__).resolve().parent.parent / "data" / name
+    again = tmp_path / "again.jsonl"
+    corpus.save_canonical(corpus.load_canonical(source), again)
+    assert again.read_bytes() == source.read_bytes()

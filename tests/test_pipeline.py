@@ -286,3 +286,15 @@ def test_ablation_persists_table(decon, tmp_path):
     assert "Very Short Prompt" in text
     saved = json.loads((out / "ablation.json").read_text())
     assert len(saved["rows"]) == len(report.rows)
+
+
+def test_replay_fixture_manifest_id_is_pinned(pet, tmp_path):
+    # the id hashes every manifest field but the timestamp and cache mode
+    client = CachingClient(DATA / "fixtures" / "replay_cache", mode="replay")
+    cell = run_cell(pet, "MD", PromptConfig(task="MD", schema=pet.schema), client,
+                    out_root=tmp_path, model_id="stub-fixture")
+    assert cell.manifest_id == "ac2bd6b32bbb"
+    manifest = json.loads((tmp_path / cell.manifest_id / "manifest.json").read_text("utf-8"))
+    assert sorted(manifest) == ["cache_mode", "dataset_name", "model_id", "prompt_fingerprints",
+                                "shot_count", "shot_seed", "task", "timestamp",
+                                "toolkit_version"]
