@@ -30,6 +30,8 @@ END = "end_event"
 DATA = "data_object"
 
 NODE_KINDS = (TASK, XOR, AND, START, END, DATA)
+# the kinds a sequence or message flow may join
+FLOW_KINDS = (TASK, XOR, AND)
 
 UNASSIGNED_LANE_LABEL = "unassigned"
 
@@ -78,7 +80,8 @@ class ProcessGraph:
     message_flows: tuple = ()
     data_associations: tuple = ()
     warnings: tuple = field(default=(), compare=False)
-    maps: dict = field(default_factory=dict, compare=False, repr=False)
+    # the node of each activity, gateway and data mention, by mention id
+    mention_nodes: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -307,94 +310,78 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
         lanes.append(lane)
         for m in members:
             lane_of_actor_mention[m.id] = lane.id
+    # every actor lane exists by now, so the unassigned lane comes last
+    unassigned = Lane(ids.make("lane", UNASSIGNED_LANE_LABEL), UNASSIGNED_LANE_LABEL)
+
+    def lane_of(actor_mention_id) -> str:
+        """The actor's lane, else the unassigned lane, added on first need."""
+        lane_id = lane_of_actor_mention.get(actor_mention_id)
+        if lane_id is not None:
+            return lane_id
+        if not lanes or lanes[-1] is not unassigned:
+            lanes.append(unassigned)
+        return unassigned.id
 
     performer_of: dict = {}
     for r in _relations_by_role(doc, schema)["performer"]:
         performer_of.setdefault(r.source_mention_id, r.target_mention_id)
 
-    activities = roles["activity"]
+    first_lane_id = lanes[0].id if lanes else lane_of(None)
+    nodes: list = [Node(ids.make("start", ""), START, "", first_lane_id)]
+    mention_nodes: dict = {}
+
+    def add(node: Node, members) -> None:
+        nodes.append(node)
+        for m in members:
+            mention_nodes[m.id] = node.id
+
+    for m in roles["activity"]:
+        surface = doc.surface(m)
+        add(Node(ids.make("task", surface), TASK, surface,
+                 lane_of(performer_of.get(m.id))), (m,))
+
     gateways = sorted(
         [(XOR, members) for members in doc.clusters(roles["xor_gateway"])]
         + [(AND, members) for members in doc.clusters(roles["and_gateway"])],
         key=lambda pair: pair[1][0].token_indices[0],
     )
     nearest_actor = _nearest_left_index(roles["actor"])
-    anchors = [nearest_actor(members[0].token_indices[0]) for _, members in gateways]
-    needs_unassigned = (
-        not lanes
-        or any(anchor is None for anchor in anchors)
-        or any(performer_of.get(a.id) not in lane_of_actor_mention
-               for a in activities)
-    )
-
-    unassigned_lane = None
-    if needs_unassigned:
-        unassigned_lane = Lane(
-            ids.make("lane", UNASSIGNED_LANE_LABEL), UNASSIGNED_LANE_LABEL
-        )
-        lanes.append(unassigned_lane)
-
-    first_lane = lanes[0]
-    nodes: list = []
-    mention_nodes: dict = {}
-    data_nodes: dict = {}
-
-    start = Node(ids.make("start", ""), START, "", first_lane.id)
-    nodes.append(start)
-
-    for m in activities:
-        lane_id = lane_of_actor_mention.get(performer_of.get(m.id))
-        if lane_id is None:
-            lane_id = unassigned_lane.id
-        node = Node(ids.make("task", doc.surface(m)), TASK, doc.surface(m), lane_id)
-        nodes.append(node)
-        mention_nodes[m.id] = node.id
-
-    for (kind, members), anchor in zip(gateways, anchors):
-        lane_id = None if anchor is None else lane_of_actor_mention.get(anchor.id)
-        if lane_id is None:
-            lane_id = unassigned_lane.id
-        node = Node(
-            ids.make("gate", doc.surface(members[0])), kind,
-            doc.surface(members[0]), lane_id,
-        )
-        nodes.append(node)
-        for m in members:
-            mention_nodes[m.id] = node.id
+    for kind, members in gateways:
+        anchor = nearest_actor(members[0].token_indices[0])
+        surface = doc.surface(members[0])
+        add(Node(ids.make("gate", surface), kind, surface,
+                 lane_of(None if anchor is None else anchor.id)), members)
 
     for members in doc.clusters(roles["data"]):
         label = _longest_surface(doc, members)
-        node = Node(ids.make("data", label), DATA, label, None)
-        nodes.append(node)
-        for m in members:
-            data_nodes[m.id] = node.id
+        add(Node(ids.make("data", label), DATA, label, None), members)
 
-    end = Node(ids.make("end", ""), END, "", first_lane.id)
-    nodes.append(end)
-
-    return ProcessGraph(
-        lanes=tuple(lanes),
-        nodes=tuple(nodes),
-        maps={
-            "mention_nodes": mention_nodes,
-            "data_nodes": data_nodes,
-            "start": start.id,
-            "end": end.id,
-        },
-    )
+    nodes.append(Node(ids.make("end", ""), END, "", first_lane_id))
+    return ProcessGraph(lanes=tuple(lanes), nodes=tuple(nodes), mention_nodes=mention_nodes)
 
 
 # ---------------------------------------------------------------------------
 # linking
 
 def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
-    """Connect the vertices with flows and data associations."""
+    """Connect the vertices with flows and data associations.
+
+    Node kinds decide every edge: a flow joins two FLOW_KINDS nodes, a
+    uses relation joins a task to a data object, and any other pair is
+    skipped with a warning.
+    """
     ids = _Ids()
     mmap = doc.mention_map()
-    mention_nodes = graph.maps["mention_nodes"]
-    data_nodes = graph.maps["data_nodes"]
     node_by_id = {n.id: n for n in graph.nodes}
     warnings: list = []
+
+    def fitting(src: str, tgt: str, source_kinds, target_kinds):
+        """The endpoint nodes of two mentions, or None when a kind does not fit."""
+        source = node_by_id.get(graph.mention_nodes.get(src))
+        target = node_by_id.get(graph.mention_nodes.get(tgt))
+        if source and target and source.kind in source_kinds and target.kind in target_kinds:
+            return source, target
+        return None
 
     condition_ids = {m.id for m in _mentions_by_role(doc, schema)["condition"]}
     relation_roles = _relations_by_role(doc, schema)
@@ -405,7 +392,7 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
 
     into_condition: dict = {}
     out_of_condition: dict = {}
-    plain: list = []
+    edges: list = []
     for r in relation_roles["flow"]:
         src_is_cond = r.source_mention_id in condition_ids
         tgt_is_cond = r.target_mention_id in condition_ids
@@ -418,11 +405,8 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
         elif src_is_cond and tgt_is_cond:
             warnings.append(f"skipped link {r.id}: both endpoints are conditions")
         else:
-            plain.append((r.id, r.source_mention_id, r.target_mention_id, None))
+            edges.append((r.id, r.source_mention_id, r.target_mention_id, None))
 
-    edges: list = []
-    for rel_id, src, tgt, label in plain:
-        edges.append((rel_id, src, tgt, label))
     for cond_id in sorted(
         out_of_condition, key=lambda c: mmap[c].token_indices[0]
     ):
@@ -439,13 +423,12 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
     sequence_flows: list = []
     message_flows: list = []
 
-    def add_edge(source_node: str, target_node: str, label: str | None) -> None:
-        src, tgt = node_by_id[source_node], node_by_id[target_node]
-        if src.lane_id == tgt.lane_id:
+    def add_edge(source: Node, target: Node, label: str | None) -> None:
+        if source.lane_id == target.lane_id:
             sequence_flows.append(
                 SequenceFlow(
-                    ids.make("flow", source_node, target_node),
-                    source_node, target_node, label,
+                    ids.make("flow", source.id, target.id),
+                    source.id, target.id, label,
                 )
             )
         else:
@@ -455,75 +438,65 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
                 )
             message_flows.append(
                 MessageFlow(
-                    ids.make("mflow", source_node, target_node),
-                    source_node, target_node,
+                    ids.make("mflow", source.id, target.id),
+                    source.id, target.id,
                 )
             )
 
     for rel_id, src, tgt, label in edges:
-        source_node = mention_nodes.get(src)
-        target_node = mention_nodes.get(tgt)
-        if source_node is None or target_node is None:
+        pair = fitting(src, tgt, FLOW_KINDS, FLOW_KINDS)
+        if pair is None:
             name = rel_id if rel_id is not None else f"{src}->{tgt}"
             warnings.append(
                 f"skipped link {name}: endpoint is not an activity or gateway"
             )
             continue
-        add_edge(source_node, target_node, label)
+        add_edge(*pair, label)
 
     # data associations, with label composition
     associations: list = []
     relabel: dict = {}
     for r in relation_roles["uses"]:
-        task_node = mention_nodes.get(r.source_mention_id)
-        data_node = data_nodes.get(r.target_mention_id)
-        if task_node is None or data_node is None:
+        pair = fitting(r.source_mention_id, r.target_mention_id, (TASK,), (DATA,))
+        if pair is None:
             warnings.append(
                 f"skipped link {r.id}: not an activity-to-data pair"
             )
             continue
+        task, data = pair
         associations.append(
             DataAssociation(
-                ids.make("assoc", task_node, data_node),
-                data_object=data_node, task=task_node,
+                ids.make("assoc", task.id, data.id),
+                data_object=data.id, task=task.id,
             )
         )
-        task = node_by_id[task_node]
-        data_label = node_by_id[data_node].label
-        current = relabel.get(task_node, task.label)
-        if data_label.casefold() not in current.casefold():
-            relabel[task_node] = f"{current} {data_label}"
-
-    nodes = tuple(
-        n if n.id not in relabel else replace(n, label=relabel[n.id])
-        for n in graph.nodes
-    )
-    node_by_id = {n.id: n for n in nodes}
+        current = relabel.get(task.id, task.label)
+        if data.label.casefold() not in current.casefold():
+            relabel[task.id] = f"{current} {data.label}"
 
     # start and end synthesis over nodes that can carry flow
-    linkable = [n for n in nodes if n.kind in (TASK, XOR, AND)]
-    has_incoming = {f.target for f in sequence_flows} | {
-        f.target for f in message_flows
-    }
-    has_outgoing = {f.source for f in sequence_flows} | {
-        f.source for f in message_flows
-    }
-    start_id, end_id = graph.maps["start"], graph.maps["end"]
+    linkable = [n for n in graph.nodes if n.kind in FLOW_KINDS]
+    has_incoming = {f.target for f in sequence_flows + message_flows}
+    has_outgoing = {f.source for f in sequence_flows + message_flows}
+    events = {n.kind: n for n in graph.nodes if n.kind in (START, END)}
     for n in linkable:
         if n.id not in has_incoming:
-            add_edge(start_id, n.id, None)
+            add_edge(events[START], n, None)
     for n in linkable:
         if n.id not in has_outgoing:
-            add_edge(n.id, end_id, None)
+            add_edge(n, events[END], None)
 
     return ProcessGraph(
         lanes=graph.lanes,
-        nodes=nodes,
+        nodes=tuple(
+            n if n.id not in relabel else replace(n, label=relabel[n.id])
+            for n in graph.nodes
+        ),
         sequence_flows=tuple(sequence_flows),
         message_flows=tuple(message_flows),
         data_associations=tuple(associations),
         warnings=tuple(warnings),
-        maps=graph.maps,
+        mention_nodes=graph.mention_nodes,
     )
 
 
@@ -561,10 +534,11 @@ def validate_graph(graph: ProcessGraph) -> list:
             problems.append(f"message flow {f.id}: unresolved endpoint")
         elif node_by_id[f.source].lane_id == node_by_id[f.target].lane_id:
             problems.append(f"message flow {f.id} stays inside one lane")
+    kind_of = {n.id: n.kind for n in graph.nodes}
     for a in graph.data_associations:
-        if node_by_id.get(a.data_object, Node("", TASK, "")).kind != DATA:
+        if kind_of.get(a.data_object) != DATA:
             problems.append(f"association {a.id}: {a.data_object!r} is not a data object")
-        if a.task not in node_by_id or node_by_id[a.task].kind != TASK:
+        if kind_of.get(a.task) != TASK:
             problems.append(f"association {a.id}: {a.task!r} is not a task")
     starts = [n for n in graph.nodes if n.kind == START]
     ends = [n for n in graph.nodes if n.kind == END]

@@ -32,6 +32,7 @@ from .corpus import (
     ValidationError,
     check,
     decode_json,
+    json_lines,
     load_canonical,
     load_pet,
     load_schema,
@@ -289,13 +290,10 @@ def _make_client(args) -> CachingClient:
 
 
 def _sniff_dataset(path, schema_source=None) -> Dataset:
-    """Tell the two dataset layouts apart by their first line."""
-    path = Path(path)
+    """Tell the two dataset layouts apart by their first non-blank line."""
     schema = load_schema(schema_source) if schema_source else None
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    head = decode_json(first, "line 1") if first.strip() else {}
-    if isinstance(head, dict) and "format_version" in head:
+    _, head = next(json_lines(path), (None, {}))
+    if "format_version" in head:
         return load_canonical(path, schema)
     return load_pet(path, schema)
 
@@ -407,11 +405,11 @@ def cmd_ablate(args) -> int:
 
 def _doc_from_predictions(doc, schema, paths):
     """Swap a document's annotations for predicted ones."""
-    items = []
-    for path in paths:
-        for _, record, parsed in read_predictions(path):
-            if record["document_id"] == doc.id:
-                items.extend(parsed)
+    records = [parsed for path in paths for _, record, parsed in read_predictions(path)
+               if record["document_id"] == doc.id]
+    if not records:
+        raise ValidationError(f"no predictions record for document {doc.id!r}")
+    items = [item for parsed in records for item in parsed]
     report = ParseReport(items=tuple(items), error_lines=(), ignored_line_count=0)
 
     grounded, ungrounded = ground_report(report, doc)

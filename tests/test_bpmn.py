@@ -676,6 +676,63 @@ def test_gateway_node_survives_entity_id_equal_to_mention_id(pet_schema):
     assert validate_graph(g) == []
 
 
+@st.composite
+def valid_documents(draw, schema):
+    """Any mention types over a few sentences, any schema relation between
+    any two mentions, and random disjoint entity clusters."""
+    sentences = draw(st.lists(st.integers(0, 3), min_size=1, max_size=12).map(sorted))
+    tokens = tuple(Token(f"w{i}", i, sentence) for i, sentence in enumerate(sentences))
+    n = len(tokens)
+    spans = draw(st.lists(
+        st.tuples(st.sampled_from(schema.mention_types), st.integers(0, n - 1),
+                  st.integers(1, 3)).map(
+            lambda t: (t[0], tuple(range(t[1], min(n, t[1] + t[2]))))
+        ),
+        max_size=10, unique=True,
+    ))
+    mentions = tuple(Mention(f"m{i}", mtype, span) for i, (mtype, span) in enumerate(spans))
+    ends = st.integers(0, max(len(mentions) - 1, 0))
+    relations = draw(st.lists(
+        st.tuples(st.sampled_from(schema.relation_types), ends, ends),
+        max_size=12 if mentions else 0,
+    ))
+    cluster_of = draw(st.lists(st.none() | st.integers(0, 3),
+                               min_size=len(mentions), max_size=len(mentions)))
+    clusters: dict = {}
+    for m, cluster in zip(mentions, cluster_of):
+        if cluster is not None:
+            clusters.setdefault(cluster, set()).add(m.id)
+    return Document(
+        id="syn-any",
+        raw_text=" ".join(t.text for t in tokens),
+        tokens=tokens,
+        mentions=mentions,
+        entities=tuple(Entity(f"e{c}", frozenset(ids)) for c, ids in sorted(clusters.items())),
+        relations=tuple(
+            Relation(f"r{i}", rtype, mentions[s].id, mentions[t].id)
+            for i, (rtype, s, t) in enumerate(relations)
+        ),
+    )
+
+
+PET_SCHEMA = corpus.load_schema("pet")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=valid_documents(PET_SCHEMA))
+@example(doc=make_doc(
+    "syn-gateway-uses",
+    ["If the order is complete , ship it ."],
+    [("g1", "XOR Gateway", (0,)), ("d1", "Activity Data", (1, 2))],
+    relations=[("r0", "uses", "g1", "d1")],
+))
+def test_every_valid_document_compiles_to_a_valid_graph(doc):
+    assert corpus.validate(doc, PET_SCHEMA) == []
+    g = compile_document(doc, PET_SCHEMA)
+    assert validate_graph(g) == []
+    parse_bpmn(serialize_bpmn(layout(g)))
+
+
 def test_compile_cost_grows_linearly(pet_schema, monkeypatch):
     from test_parser import concatenated
 

@@ -641,6 +641,61 @@ def test_repeated_main_calls_share_no_parser_state(capsys, tmp_path):
     assert (tmp_path / "again.bpmn").read_bytes() == gold
 
 
+def write_predictions(tmp_path, doc_id, items=()):
+    path = tmp_path / "pred.jsonl"
+    path.write_text(json.dumps({"document_id": doc_id, "task": "RE", "items": list(items)})
+                    + "\n", encoding="utf-8")
+    return path
+
+
+def test_generate_bpmn_skips_a_uses_relation_from_a_gateway(capsys, tmp_path):
+    predictions = write_predictions(tmp_path, "doc-1.3", [
+        {"kind": "mention", "type": "XOR Gateway", "surface": "If"},
+        {"kind": "mention", "type": "Activity Data", "surface": "an order"},
+        {"kind": "relation", "type": "uses", "source": "If", "target": "an order"},
+    ])
+    code = main(["generate-bpmn", "--in", str(DATA / "pet.jsonl"), "--doc", "doc-1.3",
+                 "--predictions", str(predictions), "--out", str(tmp_path / "x.bpmn")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 0, err
+    assert "warning: skipped link pr0: not an activity-to-data pair" in err
+    assert parse_bpmn((tmp_path / "x.bpmn").read_text("utf-8")).graph.data_associations == ()
+
+
+def test_generate_bpmn_without_a_record_for_the_document_is_data_error(capsys, tmp_path):
+    predictions = write_predictions(tmp_path, "doc-1.3")
+    out = tmp_path / "x.bpmn"
+    code = main(["generate-bpmn", "--in", str(DATA / "pet.jsonl"), "--doc", "doc-1.1",
+                 "--predictions", str(predictions), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: data: no predictions record for document 'doc-1.1'"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "generate-bpmn"])
+def test_blank_lines_before_the_first_record_keep_the_layout(command, capsys, tmp_path):
+    source = {"evaluate": "decon.jsonl", "generate-bpmn": "fixtures/doc33.json"}[command]
+    text = (DATA / source).read_text(encoding="utf-8")
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    outputs = []
+    for name, content in (("plain", text), ("padded", "\n  \n" + text)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / f"{name}.bpmn"
+        argv = {
+            "evaluate": ["evaluate", "--dataset", str(path), "--task", "CE",
+                         "--predictions", str(predictions)],
+            "generate-bpmn": ["generate-bpmn", "--in", str(path), "--out", str(out)],
+        }[command]
+        assert main(argv) == 0, capsys.readouterr().err
+        stdout = capsys.readouterr().out
+        outputs.append(out.read_bytes() if command == "generate-bpmn" else stdout)
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # cache management
 
