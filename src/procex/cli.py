@@ -44,7 +44,13 @@ from .llm import (
     ReplayMissError,
     cache_entries,
 )
-from .parser import ParseReport, ground_clusters, ground_relations, ground_report
+from .parser import (
+    ITEM_KINDS,
+    ParseReport,
+    ground_clusters,
+    ground_relations,
+    ground_report,
+)
 from .pipeline import (
     DEFAULT_MODEL_ID,
     _predictions_for,
@@ -349,6 +355,11 @@ def cmd_evaluate(args) -> int:
                 f"{where}: record for task {record.get('task')!r}, "
                 f"expected {task!r}"
             )
+        for item in record["items"]:
+            if ITEM_KINDS[item["kind"]].task != task:
+                raise ValidationError(
+                    f"{where}: item of kind {item['kind']!r} in a record for task {task!r}"
+                )
         doc = dataset.document(record["document_id"])
         if doc.id in predictions:
             raise ValidationError(

@@ -201,15 +201,6 @@ class SchemaDescriptor:
     def is_unary(self, constraint_type: str) -> bool:
         return self._resolve("unary", constraint_type) is not None
 
-    def types_for_task(self, task: str) -> tuple[str, ...]:
-        if task in ("MD", "ER"):
-            return self.mention_types
-        if task == "RE":
-            return self.relation_types
-        if task == "CE":
-            return self.constraint_types
-        raise ValueError(f"unknown task {task!r}")
-
     def mention_role_of(self, type_name: str) -> str | None:
         return self._resolve("mention role", type_name)
 

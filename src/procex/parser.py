@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, attrgetter
 from typing import NamedTuple
@@ -28,9 +27,8 @@ from .corpus import (
 )
 
 
-# records built once per response line or grounded window are
-# NamedTuples: same fields, hash and repr as a frozen dataclass, and
-# cheaper to build
+# parsed items, reports and grounded windows are NamedTuples: same
+# fields, hash and repr as a frozen dataclass, and cheaper to build
 
 
 class ParsedMention(NamedTuple):
@@ -38,8 +36,7 @@ class ParsedMention(NamedTuple):
     surface: str
 
 
-@dataclass(frozen=True)
-class ParsedCluster:
+class ParsedCluster(NamedTuple):
     surfaces: tuple
 
 
@@ -49,22 +46,19 @@ class ParsedRelation(NamedTuple):
     target_surface: str
 
 
-@dataclass(frozen=True)
-class ParsedConstraint:
+class ParsedConstraint(NamedTuple):
     constraint_type: str
     negated: bool
     actions: tuple
 
 
-@dataclass(frozen=True)
-class ErrorLine:
+class ErrorLine(NamedTuple):
     line_number: int
     raw: str
     reason: str
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(NamedTuple):
     items: tuple
     error_lines: tuple
     ignored_line_count: int
@@ -350,34 +344,33 @@ def ground_relations(report: ParseReport, doc: Document):
     return out
 
 
-def item_to_record(item) -> dict:
-    if isinstance(item, ParsedMention):
-        return {"kind": "mention", "type": item.mention_type, "surface": item.surface}
-    if isinstance(item, ParsedCluster):
-        return {"kind": "cluster", "surfaces": list(item.surfaces)}
-    if isinstance(item, ParsedRelation):
-        return {
-            "kind": "relation",
-            "type": item.relation_type,
-            "source": item.source_surface,
-            "target": item.target_surface,
-        }
-    if isinstance(item, ParsedConstraint):
-        return {
-            "kind": "constraint",
-            "type": item.constraint_type,
-            "negated": item.negated,
-            "actions": list(item.actions),
-        }
-    raise TypeError(f"not a parsed item: {item!r}")
+class ItemKind(NamedTuple):
+    """A predictions-record item kind: the parsed class, the task whose
+    items it holds, and its record shape with the keys in field order."""
+    cls: type
+    task: str
+    shape: dict
 
 
-ITEM_SHAPES = {
-    "mention": {"type": str, "surface": str},
-    "cluster": {"surfaces": [str]},
-    "relation": {"type": str, "source": str, "target": str},
-    "constraint": {"type": str, "negated": bool, "actions": [str]},
+ITEM_KINDS = {
+    "mention": ItemKind(ParsedMention, "MD", {"type": str, "surface": str}),
+    "cluster": ItemKind(ParsedCluster, "ER", {"surfaces": [str]}),
+    "relation": ItemKind(ParsedRelation, "RE", {"type": str, "source": str, "target": str}),
+    "constraint": ItemKind(ParsedConstraint, "CE",
+                           {"type": str, "negated": bool, "actions": [str]}),
 }
+
+# parsed class -> (kind, record keys in field order)
+_RECORD_KEYS = {k.cls: (kind, tuple(k.shape)) for kind, k in ITEM_KINDS.items()}
+
+
+def item_to_record(item) -> dict:
+    """The JSON record of a parsed item; json writes its tuples as arrays."""
+    try:
+        kind, keys = _RECORD_KEYS[type(item)]
+    except KeyError:
+        raise TypeError(f"not a parsed item: {item!r}") from None
+    return dict(zip(keys, item), kind=kind)
 
 
 def item_from_record(record: dict, what: str = "item"):
@@ -387,14 +380,8 @@ def item_from_record(record: dict, what: str = "item"):
     what as the message prefix.
     """
     kind = check(record, {"kind": str}, what)["kind"]
-    if kind not in ITEM_SHAPES:
+    if kind not in ITEM_KINDS:
         raise LoadError(f"{what} has unknown kind {kind!r}")
-    r = check(record, ITEM_SHAPES[kind], f"{what} ({kind})")
-    if kind == "mention":
-        return ParsedMention(r["type"], r["surface"])
-    if kind == "cluster":
-        return ParsedCluster(tuple(r["surfaces"]))
-    if kind == "relation":
-        return ParsedRelation(r["type"], r["source"], r["target"])
-    return ParsedConstraint(r["type"], r["negated"], tuple(r["actions"]))
-
+    cls, _, shape = ITEM_KINDS[kind]
+    r = check(record, shape, f"{what} ({kind})")
+    return cls(*(tuple(r[key]) if type(r[key]) is list else r[key] for key in shape))

@@ -16,10 +16,12 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from . import __version__
 from .corpus import Dataset, Document, check, json_lines
@@ -52,13 +54,14 @@ REPLAY_TIMESTAMP = "1970-01-01T00:00:00Z"
 _BASELINES_PATH = Path(__file__).resolve().parent / "data" / "baselines.json"
 
 
-def reference_scores() -> dict:
-    """Published comparison numbers, used only when printing tables."""
-    try:
-        raw = json.loads(_BASELINES_PATH.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return {}
-    return raw.get("reference_scores", {})
+@functools.cache
+def reference_scores() -> MappingProxyType:
+    """Published comparison numbers, used only when printing tables.
+
+    Read once per process; every caller shares the same read-only mapping.
+    """
+    raw = json.loads(_BASELINES_PATH.read_text(encoding="utf-8"))
+    return MappingProxyType(raw["reference_scores"])
 
 
 def utc_timestamp(cache_mode: str) -> str:
@@ -339,11 +342,6 @@ def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS,
              client: CachingClient = None, *, out_root=None,
              model_id: str = DEFAULT_MODEL_ID, shot_seed: int = 0) -> GridResult:
     """Sweep (task, shot count) cells and render the score table."""
-    if not dataset.documents:
-        if out_root is not None:
-            Path(out_root).mkdir(parents=True, exist_ok=True)
-            (Path(out_root) / "table.txt").write_text("", encoding="utf-8")
-        return GridResult(cells=(), table_text="")
     if tasks is None:
         tasks = dataset.schema.tasks
     cells: list = []

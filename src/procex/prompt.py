@@ -152,95 +152,70 @@ def first_sentence(text: str) -> str:
     return text[: m.start()].strip() if m else text.strip()
 
 
-def _per_type_lines(config: PromptConfig) -> tuple[str, str]:
-    """The task's type definitions and its disambiguation hints, a line per type."""
+def _per_type_lines(config: PromptConfig, types) -> tuple[str, str]:
+    """The definitions and disambiguation hints of types, a line per type."""
     schema = config.schema
     shorten = first_sentence if config.brevity == "very_short" else str
     definitions, hints = [], []
-    for name in schema.types_for_task(config.task):
+    for name in types:
         definitions.append(f"{name}: {shorten(schema.definitions[name])}")
         if schema.hints.get(name):
             hints.append(f"{name}: {' '.join(map(shorten, schema.hints[name]))}")
     return "\n".join(definitions), "\n".join(hints)
 
 
-def _format_rules(config: PromptConfig) -> str:
-    schema = config.schema
-    task = config.task
+def _output_format(task: str, schema: SchemaDescriptor) -> tuple[tuple, str, str]:
+    """A task's type inventory, format rules and format example lines."""
     if task == "MD":
-        types = ", ".join(t.lower() for t in schema.mention_types)
-        return (
+        types = schema.mention_types
+        valid = ", ".join(t.lower() for t in types)
+        return types, (
             "Answer with one line per mention, in reading order. Each line is "
             "the mention type, a pipe, and the exact words of the mention:\n"
             "<type>|<words>\n"
-            f"Valid types: {types}. Copy the words exactly as they appear in "
+            f"Valid types: {valid}. Copy the words exactly as they appear in "
             "the input. Write nothing after the output lines."
-        )
+        ), "\n".join(f"{t.lower()}|{words}"
+                     for t, words in zip(types, ("records", "the analyst")))
     if task == "ER":
-        return (
+        return schema.mention_types, (
             "Answer with one line per entity. A line starts with the word "
             "entity, followed by the words of every mention of that entity in "
             "reading order, separated by pipes:\n"
             "entity|<words>|<words>|...\n"
             "Entities with a single mention get a line too. Copy mention "
             "words exactly as they appear in the input."
-        )
+        ), "entity|the analyst|she\nentity|records"
     if task == "RE":
-        types = ", ".join(t.lower() for t in schema.relation_types)
-        return (
+        types = schema.relation_types
+        valid = ", ".join(t.lower() for t in types)
+        return types, (
             "Answer with one line per relation. Each line is the relation "
             "type, the words of the source mention, and the words of the "
             "target mention:\n"
             "<type>|<source words>|<target words>\n"
-            f"Valid types: {types}. Copy mention words exactly as they appear "
+            f"Valid types: {valid}. Copy mention words exactly as they appear "
             "in the input."
-        )
-    unary = [t for t in schema.constraint_types if schema.is_unary(t)]
-    binary = [t for t in schema.constraint_types if not schema.is_unary(t)]
-    parts = [
-        "Answer with one line per constraint. The second field is the word "
-        "not for a negated constraint and empty otherwise."
-    ]
+        ), "\n".join(f"{t}|records|{target}"
+                     for t, target in zip(types, ("files", "the report")))
+    # CE
+    types = schema.constraint_types
+    unary = [t for t in types if schema.is_unary(t)]
+    binary = [t for t in types if not schema.is_unary(t)]
+    rules = ["Answer with one line per constraint. The second field is the word "
+             "not for a negated constraint and empty otherwise."]
+    examples = []
     if unary:
-        parts.append(
-            f"Unary types ({', '.join(unary)}) take one action:\n"
-            "<type>|<not or empty>|<action>"
-        )
+        rules.append(f"Unary types ({', '.join(unary)}) take one action:\n"
+                     "<type>|<not or empty>|<action>")
+        examples.append(f"{unary[0]}||open case")
     if binary:
-        parts.append(
-            f"Binary types ({', '.join(binary)}) take two actions:\n"
-            "<type>|<not or empty>|<first action>|<second action>"
-        )
-    parts.append("Write actions in base verb form without articles.")
-    return "\n".join(parts)
-
-
-def _format_example_lines(config: PromptConfig) -> str:
-    schema = config.schema
-    task = config.task
-    if task == "MD":
-        types = schema.mention_types
-        lines = [f"{types[0].lower()}|records"]
-        if len(types) > 1:
-            lines.append(f"{types[1].lower()}|the analyst")
-        return "\n".join(lines)
-    if task == "ER":
-        return "entity|the analyst|she\nentity|records"
-    if task == "RE":
-        types = schema.relation_types
-        lines = [f"{types[0]}|records|files"]
-        if len(types) > 1:
-            lines.append(f"{types[1]}|records|the report")
-        return "\n".join(lines)
-    unary = [t for t in schema.constraint_types if schema.is_unary(t)]
-    binary = [t for t in schema.constraint_types if not schema.is_unary(t)]
-    lines = []
-    if unary:
-        lines.append(f"{unary[0]}||open case")
-    if binary:
-        lines.append(f"{binary[0]}||open case|close case")
-        lines.append(f"{binary[0]}|not|open case|close case")
-    return "\n".join(lines)
+        rules.append(f"Binary types ({', '.join(binary)}) take two actions:\n"
+                     "<type>|<not or empty>|<first action>|<second action>")
+        examples += [f"{binary[0]}||open case|close case",
+                     f"{binary[0]}|not|open case|close case"]
+    rules.append("Write actions in base verb form without articles.")
+    return types, "\n".join(rules), "\n".join(examples)
 
 
 def _render_examples(shots: list) -> str:
@@ -319,14 +294,15 @@ def assemble(
             list(shot_pool), config.shot_count, target.id, config.shot_seed, config.task
         )
 
-    type_definitions, disambiguation_hints = _per_type_lines(config)
+    types, format_rules, format_example_lines = _output_format(config.task, config.schema)
+    type_definitions, disambiguation_hints = _per_type_lines(config, types)
     values = {
         "task_goal": TASK_GOALS[config.task],
         "type_definitions": type_definitions,
         "considerations": "\n".join(config.schema.considerations),
         "disambiguation_hints": disambiguation_hints,
-        "format_rules": _format_rules(config),
-        "format_example_lines": _format_example_lines(config),
+        "format_rules": format_rules,
+        "format_example_lines": format_example_lines,
         "examples": _render_examples(shots),
     }
 

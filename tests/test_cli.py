@@ -479,6 +479,38 @@ def test_evaluate_task_mismatch(pet, capsys, tmp_path):
     assert "expected 'RE'" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_items_of_another_tasks_kind(pet, capsys, tmp_path):
+    predictions = md_predictions_file(pet, tmp_path)
+    relation = {"kind": "relation", "type": "flow", "source": "a", "target": "b"}
+    records = [json.loads(line) for line in predictions.read_text("utf-8").splitlines()]
+    predictions.write_text("".join(json.dumps({**r, "items": [relation]}) + "\n"
+                                   for r in records), encoding="utf-8")
+    code = main(["evaluate", "--dataset", str(DATA / "pet.jsonl"),
+                 "--task", "MD", "--predictions", str(predictions)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: data: {predictions}:1: item of kind 'relation' in a record for task 'MD'"
+    ]
+
+
+@pytest.mark.parametrize("source,task", [("pet.jsonl", "ER"), ("pet.jsonl", "RE"),
+                                         ("decon.jsonl", "CE")])
+def test_evaluate_scores_a_written_run_like_the_run(source, task, capsys, tmp_path):
+    dataset = cli._sniff_dataset(str(DATA / source))
+    client = CachingClient(tmp_path / "cache", gold_echo(dataset), mode="record")
+    cell = run_cell(dataset, task, PromptConfig(task=task, schema=dataset.schema),
+                    client, out_root=tmp_path / "runs")
+    predictions = tmp_path / "runs" / cell.manifest_id / "predictions.jsonl"
+    code = main(["evaluate", "--dataset", str(DATA / source), "--task", task,
+                 "--predictions", str(predictions)])
+    assert code == 0, capsys.readouterr().err
+    s = cell.scores
+    assert capsys.readouterr().out == (
+        f"{task}: P={s.precision:.2f} R={s.recall:.2f} F1={s.f1:.2f} "
+        f"(documents: {len(dataset.documents)})\n"
+    )
+
+
 def test_grid_prints_and_persists_table(pet, capsys, tmp_path):
     cache = tmp_path / "cache"
     client = CachingClient(cache, gold_echo(pet), mode="record")
@@ -516,6 +548,33 @@ def test_grid_data_failure_is_a_data_error(capsys, tmp_path):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: data: 1 cell(s) failed; first: PromptError:")
+
+
+EMPTY_DATASET_ROWS = {
+    "extract": "zero-shot 0.000 0.000 0.000 (errors: 0)",
+    "grid": "zero-shot 0.000 0.000 0.000 (errors: 0)",
+    "ablate": "Baseline +0.000 0.000 0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_DATASET_ROWS))
+def test_an_empty_dataset_gives_zero_score_rows(command, capsys, tmp_path):
+    header = (DATA / "decon.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(header + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    task_flag = "--task" if command == "extract" else "--tasks"
+    code = main([command, "--dataset", str(empty), task_flag, "MD", "--mode", "replay",
+                 "--cache", str(tmp_path / "none"), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+    assert EMPTY_DATASET_ROWS[command] in rows, rows
+    if command == "ablate":
+        assert (out / "ablation.json").is_file()
+    else:
+        runs = list(out.glob("*/scores.json"))
+        assert runs and all(json.loads(path.read_text("utf-8"))["document_count"] == 0
+                            for path in runs)
 
 
 def test_ablate_failure_category_follows_the_exception(pet, capsys, tmp_path,
@@ -620,6 +679,36 @@ def test_generate_bpmn_from_predictions(capsys, tmp_path):
     model = parse_bpmn(text)
     labels = sorted(n.label for n in model.graph.nodes if n.kind == "task")
     assert labels == ["archives", "registers"]
+
+
+def test_generate_bpmn_from_predictions_warns_and_merges_clusters(capsys, tmp_path):
+    tokens = tuple(Token(word, i, i // 6) for i, word in enumerate(
+        "The clerk registers the claim . the clerk archives the file .".split()))
+    doc = Document(id="d1", raw_text=" ".join(t.text for t in tokens), tokens=tokens)
+    source = tmp_path / "tiny.jsonl"
+    save_canonical(Dataset(schema=corpus.load_schema("pet"), documents=(doc,)), source)
+    items = [
+        {"kind": "mention", "type": "Actor", "surface": "The clerk"},
+        {"kind": "mention", "type": "Activity", "surface": "registers"},
+        {"kind": "mention", "type": "Actor", "surface": "the clerk"},
+        {"kind": "mention", "type": "Activity", "surface": "archives"},
+        {"kind": "mention", "type": "Activity", "surface": "approves"},
+        {"kind": "relation", "type": "flow", "source": "registers", "target": "the file"},
+    ]
+    cluster = {"kind": "cluster", "surfaces": ["The clerk", "the clerk"]}
+    lanes = []
+    for extra in ([], [cluster]):
+        predictions = write_predictions(tmp_path, "d1", items + extra)
+        out = tmp_path / "tiny.bpmn"
+        assert main(["generate-bpmn", "--in", str(source), "--predictions",
+                     str(predictions), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: mention 'approves' not groundable, dropped",
+            "warning: relation 'flow' endpoint missing from predicted mentions, dropped",
+        ]
+        lanes.append([lane.label for lane in parse_bpmn(out.read_text("utf-8")).graph.lanes])
+    # the two clerk mentions are one entity only when a cluster says so
+    assert lanes == [["The clerk", "the clerk"], ["The clerk"]]
 
 
 def test_repeated_main_calls_share_no_parser_state(capsys, tmp_path):

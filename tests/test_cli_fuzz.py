@@ -114,7 +114,11 @@ def predictions_record(directory, damage, entry):
          "actions": ["receive order", "store order"]},
     ]}
     (directory / "pred.jsonl").write_text(damage(record) + "\n", encoding="utf-8")
-    return evaluate_md(directory, first_lines("pet.jsonl", 1))
+    # evaluate takes only the items of its task; generate-bpmn merges every kind
+    dataset = directory / "dataset.jsonl"
+    dataset.write_text(first_lines("pet.jsonl", 1)[0] + "\n", encoding="utf-8")
+    return ["generate-bpmn", "--in", str(dataset), "--predictions",
+            str(directory / "pred.jsonl"), "--out", str(directory / "out.bpmn")]
 
 
 def extract_doc_1_1(*flags):

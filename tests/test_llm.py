@@ -174,6 +174,19 @@ def test_retries_exhausted(tmp_path):
     assert not list(tmp_path.glob("*.json"))  # nothing cached on failure
 
 
+def test_min_interval_paces_provider_calls_not_cache_hits(tmp_path):
+    sleeps = []
+    spy = SpyProvider()
+    client = CachingClient(tmp_path, spy, "record", min_interval=60.0,
+                           sleep=sleeps.append)
+    for prompt in ("first", "second", "first", "third"):
+        client.complete(make_request(prompt))
+    assert len(spy.calls) == 3
+    # the first call waits for nothing; each later one for the rest of the interval
+    assert len(sleeps) == 2
+    assert all(59.0 < wait <= 60.0 for wait in sleeps), sleeps
+
+
 # ---------------------------------------------------------------------------
 # concurrency ceiling
 

@@ -1,5 +1,6 @@
 """Parser and grounding tests."""
 
+import json
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -18,10 +19,13 @@ from procex.parser import (
     ParseReport,
     GroundedMention,
     GroundedRelation,
+    ITEM_KINDS,
     WindowIndex,
     ground_clusters,
     ground_relations,
     ground_report,
+    item_from_record,
+    item_to_record,
     parse,
 )
 from procex.prompt import render_gold
@@ -534,3 +538,25 @@ def test_gold_round_trip_ce():
                 for c in doc.constraints
             }
             assert got == want, doc.id
+
+
+# ---------------------------------------------------------------------------
+# predictions-record items
+
+_words = st.text(max_size=12)
+_word_tuples = st.lists(_words, max_size=4).map(tuple)
+PARSED_ITEMS = st.one_of(
+    st.builds(ParsedMention, _words, _words),
+    st.builds(ParsedCluster, _word_tuples),
+    st.builds(ParsedRelation, _words, _words, _words),
+    st.builds(ParsedConstraint, _words, st.booleans(), _word_tuples),
+)
+
+
+@given(PARSED_ITEMS)
+def test_item_record_round_trips_through_json(item):
+    record = json.loads(json.dumps(item_to_record(item)))
+    assert set(record) == {"kind", *ITEM_KINDS[record["kind"]].shape}
+    assert ITEM_KINDS[record["kind"]].cls is type(item)
+    back = item_from_record(record)
+    assert type(back) is type(item) and back == item

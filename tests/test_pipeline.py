@@ -138,10 +138,16 @@ def test_run_grid_gold_echo_all_cells_one(pet, tmp_path):
 
 
 def test_run_grid_empty_dataset(pet, tmp_path):
+    # every cell runs and scores nothing, as run_cell and run_ablation do
     empty = Dataset(schema=pet.schema, documents=())
-    result = run_grid(empty, client=None)
-    assert result.cells == ()
-    assert result.table_text == ""
+    client = CachingClient(tmp_path / "c", mode="replay")
+    result = run_grid(empty, client=client, out_root=tmp_path / "runs")
+    assert [(c.task, c.shot_count) for c in result.cells] == [
+        (task, n) for task in pet.schema.tasks for n in (0, 1, 3)]
+    assert all(c.failure is None and c.scores.counts.predicted == 0
+               and c.scores.counts.gold == 0 for c in result.cells)
+    assert "zero-shot" in result.table_text
+    assert (tmp_path / "runs" / "table.txt").read_text("utf-8") == result.table_text
 
 
 def test_run_grid_marks_failed_cells(pet, tmp_path):

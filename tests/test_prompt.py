@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from procex import corpus, prompt
+from procex.parser import ITEM_KINDS, parse
 from procex.prompt import (
     ALL_COMPONENTS,
     FewShotExample,
@@ -278,3 +279,30 @@ def test_span_concatenation_rebuilds_prompt(extra):
     order_index = {k: i for i, k in enumerate(prompt.COMPONENT_ORDER)}
     kinds = [k for k, _ in ordered]
     assert kinds == sorted(kinds, key=order_index.__getitem__)
+
+
+# items the FormatExample lines of each shipped schema and task parse to
+FORMAT_EXAMPLE_ITEMS = {
+    ("pet", "MD"): 2, ("pet", "ER"): 2, ("pet", "RE"): 2,
+    ("decon", "MD"): 1, ("decon", "CE"): 3,
+    ("atdp", "MD"): 2, ("atdp", "CE"): 3,
+}
+
+
+@pytest.mark.parametrize("name,task", sorted(FORMAT_EXAMPLE_ITEMS))
+def test_format_example_lines_parse_to_items_of_the_task(name, task):
+    schema = corpus.load_schema(name)
+    assert task in schema.tasks
+    _, _, lines = prompt._output_format(task, schema)
+    report = parse(lines, task, schema)
+    assert report.error_lines == () and report.ignored_line_count == 0
+    assert len(report.items) == FORMAT_EXAMPLE_ITEMS[name, task]
+    (kind,) = {k.cls for k in ITEM_KINDS.values() if k.task == task}
+    assert all(type(item) is kind for item in report.items)
+
+
+def test_format_examples_cover_every_shipped_schema_and_task():
+    schemas = Path(prompt.__file__).parent / "data" / "schemas"
+    shipped = {(path.stem, task) for path in schemas.glob("*.json")
+               for task in corpus.load_schema(path.stem).tasks}
+    assert shipped == set(FORMAT_EXAMPLE_ITEMS)
