@@ -111,17 +111,6 @@ def _data_message(exc: Exception) -> str:
     return str(exc)
 
 
-def _fail_rows(what: str, failed) -> int:
-    """Report failed grid cells or ablation rows under the first one's category."""
-    first = failed[0]
-    message = f"{len(failed)} {what} failed; first: {first.failure}"
-    if isinstance(first.error, _DATA_ERRORS):
-        _fail("data", message)
-        return EXIT_DATA
-    _fail("provider", message)
-    return EXIT_PROVIDER
-
-
 def _comma_list(text: str) -> list:
     """argparse type: a comma list with at least one non-blank part."""
     parts = [part.strip() for part in text.split(",") if part.strip()]
@@ -304,25 +293,38 @@ def _sniff_dataset(path, schema_source=None) -> Dataset:
     return load_pet(path, schema)
 
 
-def _load_dataset(args) -> Dataset:
-    return _sniff_dataset(args.dataset, args.schema)
+def _load_dataset(args, tasks) -> Dataset:
+    """The --dataset file, checked to define every one of tasks."""
+    dataset = _sniff_dataset(args.dataset, args.schema)
+    for task in tasks:
+        if task not in dataset.schema.tasks:
+            raise ValidationError(
+                f"task {task!r} is not defined for dataset {dataset.schema.dataset_name!r} "
+                f"(has: {', '.join(dataset.schema.tasks)})"
+            )
+    return dataset
 
 
-def _check_task(dataset: Dataset, task: str) -> str:
-    if task not in dataset.schema.tasks:
-        raise ValidationError(
-            f"task {task!r} is not defined for dataset "
-            f"{dataset.schema.dataset_name!r} (has: {', '.join(dataset.schema.tasks)})"
-        )
-    return task
+def _report(table: str, rows, what: str) -> int:
+    """Print a score table; report its failed rows under the first one's category."""
+    sys.stdout.write(table)
+    failed = [row for row in rows if row.failure is not None]
+    if not failed:
+        return EXIT_OK
+    message = f"{len(failed)} {what} failed; first: {failed[0].failure}"
+    if isinstance(failed[0].error, _DATA_ERRORS):
+        _fail("data", message)
+        return EXIT_DATA
+    _fail("provider", message)
+    return EXIT_PROVIDER
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_extract(args) -> int:
-    dataset = _load_dataset(args)
-    task = _check_task(dataset, args.task)
+    task = args.task
+    dataset = _load_dataset(args, [task])
     model_id = _resolve(args, "model", DEFAULT_MODEL_ID)
     config = PromptConfig(
         task=task, schema=dataset.schema,
@@ -338,16 +340,15 @@ def cmd_extract(args) -> int:
                                  prediction_count=len(predictions)))
         return EXIT_OK
     out_root = Path(_resolve(args, "out", "runs"))
-    cell = run_cell(dataset, task, config, client, out_root=out_root,
-                    model_id=model_id)
+    cell = run_cell(dataset, config, client, out_root=out_root, model_id=model_id)
     sys.stdout.write(f"run: {out_root / cell.manifest_id}\n")
     sys.stdout.write(render_grid_table([cell]))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load_dataset(args)
-    task = _check_task(dataset, args.task)
+    task = args.task
+    dataset = _load_dataset(args, [task])
     predictions: dict = {}
     for where, record, items in read_predictions(args.predictions):
         if record.get("task") != task:
@@ -378,40 +379,27 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    dataset = _load_dataset(args)
-    tasks = args.tasks or list(dataset.schema.tasks)
-    for task in tasks:
-        _check_task(dataset, task)
+    dataset = _load_dataset(args, args.tasks or ())
     client = _make_client(args)
     result = run_grid(
-        dataset, tasks=tasks, shot_counts=args.shots, client=client,
+        dataset, tasks=args.tasks, shot_counts=args.shots, client=client,
         out_root=Path(_resolve(args, "out", "runs")),
         model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
         shot_seed=args.seed,
     )
-    sys.stdout.write(result.table_text)
-    if result.failures:
-        return _fail_rows("cell(s)", result.failures)
-    return EXIT_OK
+    return _report(result.table_text, result.cells, "cell(s)")
 
 
 def cmd_ablate(args) -> int:
-    dataset = _load_dataset(args)
-    tasks = args.tasks
-    for task in tasks:
-        _check_task(dataset, task)
+    dataset = _load_dataset(args, args.tasks)
     client = _make_client(args)
     out = _resolve(args, "out")
     report = run_ablation(
-        dataset, tasks=tuple(tasks), client=client,
+        dataset, tuple(args.tasks), client=client,
         out_root=None if out is None else Path(out),
         model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
     )
-    sys.stdout.write(render_ablation_table(report))
-    failed = [r for r in report.rows if r.failure is not None]
-    if failed:
-        return _fail_rows("variant(s)", failed)
-    return EXIT_OK
+    return _report(render_ablation_table(report), report.rows, "variant(s)")
 
 
 def _doc_from_predictions(doc, schema, paths):

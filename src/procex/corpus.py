@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
 from itertools import chain, repeat
@@ -144,11 +144,6 @@ class SchemaDescriptor:
     relation_roles: dict[str, tuple[str, ...]] = field(default_factory=dict)
     match_policy: dict = field(default_factory=dict)
 
-    def __eq__(self, other):  # dicts inside make the default fine
-        if not isinstance(other, SchemaDescriptor):
-            return NotImplemented
-        return self.to_record() == other.to_record()
-
     def __hash__(self):
         return hash(self.dataset_name)
 
@@ -240,22 +235,22 @@ class SchemaDescriptor:
 
     @classmethod
     def from_record(cls, record: dict, what: str = "schema") -> "SchemaDescriptor":
-        """Build a schema from its JSON record; what prefixes LoadError messages."""
-        get = check(record, SCHEMA_SHAPE, what).get
-        return cls(
-            dataset_name=record["dataset_name"],
-            mention_types=tuple(get("mention_types", ())),
-            relation_types=tuple(get("relation_types", ())),
-            constraint_types=tuple(get("constraint_types", ())),
-            unary_constraint_types=frozenset(get("unary_constraint_types", ())),
-            definitions=dict(get("definitions", {})),
-            hints={k: tuple(v) for k, v in get("hints", {}).items()},
-            considerations=tuple(get("considerations", ())),
-            tasks=tuple(get("tasks", TASKS)),
-            mention_roles={k: tuple(v) for k, v in get("mention_roles", {}).items()},
-            relation_roles={k: tuple(v) for k, v in get("relation_roles", {}).items()},
-            match_policy=dict(get("match_policy", {})),
-        )
+        """Build a schema from its JSON record; what prefixes LoadError messages.
+
+        Each field the record holds is read by name; its arrays, also those
+        inside a map, become tuples, and the unary types a frozenset.
+        """
+        check(record, SCHEMA_SHAPE, what)
+        values = {f.name: _tuples(record[f.name]) for f in fields(cls) if f.name in record}
+        values["unary_constraint_types"] = frozenset(values.get("unary_constraint_types", ()))
+        return cls(**values)
+
+
+def _tuples(value):
+    """A checked JSON value with its arrays, and a map's array values, as tuples."""
+    if isinstance(value, dict):
+        return {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
+    return tuple(value) if isinstance(value, list) else value
 
 
 SCHEMA_SHAPE = {

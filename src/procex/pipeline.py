@@ -254,11 +254,19 @@ def _run_over_documents(dataset, config, client, model_id):
         return list(pool.map(extract, docs))
 
 
-def run_cell(dataset: Dataset, task: str, config: PromptConfig,
-             client: CachingClient, *, out_root=None,
-             model_id: str = DEFAULT_MODEL_ID) -> CellResult:
-    """One (dataset, task, shot count) run, persisted under its manifest."""
-    config = config.replace(task=task, schema=dataset.schema)
+def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
+             *, out_root=None, model_id: str = DEFAULT_MODEL_ID) -> CellResult:
+    """One (dataset, config.task, shot count) run, persisted under its manifest.
+
+    The config must be built from the dataset's schema; one built from
+    another schema raises ValueError.
+    """
+    if config.schema != dataset.schema:
+        raise ValueError(
+            f"config schema {config.schema.dataset_name!r} is not the "
+            f"schema of dataset {dataset.schema.dataset_name!r}"
+        )
+    task = config.task
     rows = _run_over_documents(dataset, config, client, model_id)
     fingerprints: dict = {}
     predictions_by_doc: dict = {}
@@ -304,10 +312,8 @@ def run_cell(dataset: Dataset, task: str, config: PromptConfig,
             )
             lines.append(predictions_record(
                 doc.id, task, report, f1=round(per_doc_scores[doc.id].f1, 6)
-            ))
-        (run_dir / "predictions.jsonl").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
+            ) + "\n")
+        (run_dir / "predictions.jsonl").write_text("".join(lines), encoding="utf-8")
         _write_json(run_dir / "scores.json", {
             "dataset_name": cell.dataset_name,
             "task": task,
@@ -327,19 +333,19 @@ def run_cell(dataset: Dataset, task: str, config: PromptConfig,
     return cell
 
 
-def _cell_or_failure(dataset: Dataset, task: str, config: PromptConfig,
+def _cell_or_failure(dataset: Dataset, config: PromptConfig,
                      client: CachingClient, **kwargs) -> CellResult:
     """run_cell, with an exception turned into a failed cell."""
     try:
-        return run_cell(dataset, task, config, client, **kwargs)
+        return run_cell(dataset, config, client, **kwargs)
     except Exception as exc:  # noqa: BLE001 - a failed cell is a row
-        return CellResult(dataset.schema.dataset_name, task, config.shot_count,
+        return CellResult(dataset.schema.dataset_name, config.task, config.shot_count,
                           scores=None, parsing_errors=0, manifest_id=None,
                           failure=f"{type(exc).__name__}: {exc}", error=exc)
 
 
-def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS,
-             client: CachingClient = None, *, out_root=None,
+def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS, *,
+             client: CachingClient, out_root=None,
              model_id: str = DEFAULT_MODEL_ID, shot_seed: int = 0) -> GridResult:
     """Sweep (task, shot count) cells and render the score table."""
     if tasks is None:
@@ -349,7 +355,7 @@ def run_grid(dataset: Dataset, tasks=None, shot_counts=DEFAULT_SHOT_COUNTS,
         for n in shot_counts:
             config = PromptConfig(task=task, schema=dataset.schema,
                                   shot_count=n, shot_seed=shot_seed)
-            cells.append(_cell_or_failure(dataset, task, config, client,
+            cells.append(_cell_or_failure(dataset, config, client,
                                           out_root=out_root, model_id=model_id))
     table = render_grid_table(cells)
     if out_root is not None:
@@ -420,9 +426,8 @@ class AblationReport:
         return tuple(r for r in self.rows if r.task == task)
 
 
-def run_ablation(dataset: Dataset, tasks=("MD", "RE"),
-                 client: CachingClient = None, *, out_root=None,
-                 model_id: str = DEFAULT_MODEL_ID) -> AblationReport:
+def run_ablation(dataset: Dataset, tasks, *, client: CachingClient,
+                 out_root=None, model_id: str = DEFAULT_MODEL_ID) -> AblationReport:
     """Remove one prompt component at a time from the zero-shot prompt
     and measure the damage."""
     rows: list = []
@@ -430,8 +435,7 @@ def run_ablation(dataset: Dataset, tasks=("MD", "RE"),
         base = PromptConfig(task=task, schema=dataset.schema)
         baseline_f1: float | None = None
         for label, variant in ablation_variants(base):
-            cell = _cell_or_failure(dataset, task, variant, client,
-                                    model_id=model_id)
+            cell = _cell_or_failure(dataset, variant, client, model_id=model_id)
             f1 = None if cell.scores is None else cell.scores.f1
             if label == "Baseline":
                 baseline_f1 = f1

@@ -97,13 +97,6 @@ class PromptConfig:
 
 
 @dataclass(frozen=True)
-class FewShotExample:
-    source_document_id: str
-    input_text: str
-    expected_output_lines: tuple
-
-
-@dataclass(frozen=True)
 class RenderedPrompt:
     text: str
     component_spans: dict = field(compare=False)
@@ -218,13 +211,12 @@ def _output_format(task: str, schema: SchemaDescriptor) -> tuple[tuple, str, str
     return types, "\n".join(rules), "\n".join(examples)
 
 
-def _render_examples(shots: list) -> str:
+def _render_examples(shots: list, task: str) -> str:
+    """Each shot document's text, then its gold lines for task."""
     blocks = []
     for shot in shots:
-        lines = "\n".join(shot.expected_output_lines)
-        blocks.append(
-            f"Example input:\n{shot.input_text}\nExpected output:\n{lines}"
-        )
+        lines = "\n".join(render_gold(shot, task))
+        blocks.append(f"Example input:\n{shot.raw_text}\nExpected output:\n{lines}")
     return "\n\n".join(blocks)
 
 
@@ -258,23 +250,14 @@ def render_gold(doc: Document, task: str) -> list:
     raise PromptError(f"unknown task {task!r}")
 
 
-def select_shots(pool: list, n: int, exclude: str, seed: int, task: str) -> list:
-    """Draw n few-shot examples from pool minus the excluded document."""
+def select_shots(pool: list, n: int, exclude: str, seed: int) -> list:
+    """Draw n few-shot documents from pool minus the excluded document."""
     eligible = sorted((d for d in pool if d.id != exclude), key=lambda d: d.id)
     if n > len(eligible):
         raise PromptError(
             f"requested {n} shots but only {len(eligible)} documents are available"
         )
-    rng = random.Random(seed)
-    picked = rng.sample(eligible, n)
-    return [
-        FewShotExample(
-            source_document_id=d.id,
-            input_text=d.raw_text,
-            expected_output_lines=tuple(render_gold(d, task)),
-        )
-        for d in picked
-    ]
+    return random.Random(seed).sample(eligible, n)
 
 
 def assemble(
@@ -291,7 +274,7 @@ def assemble(
     shots: list = []
     if config.shot_count > 0:
         shots = select_shots(
-            list(shot_pool), config.shot_count, target.id, config.shot_seed, config.task
+            list(shot_pool), config.shot_count, target.id, config.shot_seed
         )
 
     types, format_rules, format_example_lines = _output_format(config.task, config.schema)
@@ -303,7 +286,7 @@ def assemble(
         "disambiguation_hints": disambiguation_hints,
         "format_rules": format_rules,
         "format_example_lines": format_example_lines,
-        "examples": _render_examples(shots),
+        "examples": _render_examples(shots, config.task),
     }
 
     spans: dict = {}
@@ -329,7 +312,7 @@ def assemble(
             {
                 "config": config.to_record(),
                 "target": target.id,
-                "shots": [s.source_document_id for s in shots],
+                "shots": [s.id for s in shots],
             },
             sort_keys=True,
         ).encode("utf-8")
@@ -339,21 +322,22 @@ def assemble(
         text="".join(chunks),
         component_spans=spans,
         config_fingerprint=fingerprint,
-        shot_ids=tuple(s.source_document_id for s in shots),
+        shot_ids=tuple(s.id for s in shots),
     )
 
 
+# each row's PromptConfig.replace keywords, applied to the full zero-shot base
 ABLATION_ROWS = (
-    ("Baseline", None),
-    ("No Format Examples", K.FORMAT_EXAMPLE),
-    ("No Context Manager", K.CONTEXT_MANAGER),
-    ("No Persona", K.PERSONA),
-    ("No Meta Language", K.META_LANGUAGE),
-    ("No Chain of Thought", K.CHAIN_OF_THOUGHT),
-    ("No Disambiguation", K.DISAMBIGUATION),
-    ("No Reflection", K.REFLECTION),
-    ("No Fact Check List", K.FACT_LIST),
-    ("Very Short Prompt", "very_short"),
+    ("Baseline", {}),
+    ("No Format Examples", {"enabled": ALL_COMPONENTS - {K.FORMAT_EXAMPLE}}),
+    ("No Context Manager", {"enabled": ALL_COMPONENTS - {K.CONTEXT_MANAGER}}),
+    ("No Persona", {"enabled": ALL_COMPONENTS - {K.PERSONA}}),
+    ("No Meta Language", {"enabled": ALL_COMPONENTS - {K.META_LANGUAGE}}),
+    ("No Chain of Thought", {"enabled": ALL_COMPONENTS - {K.CHAIN_OF_THOUGHT}}),
+    ("No Disambiguation", {"enabled": ALL_COMPONENTS - {K.DISAMBIGUATION}}),
+    ("No Reflection", {"enabled": ALL_COMPONENTS - {K.REFLECTION}}),
+    ("No Fact Check List", {"enabled": ALL_COMPONENTS - {K.FACT_LIST}}),
+    ("Very Short Prompt", {"brevity": "very_short"}),
 )
 
 
@@ -364,12 +348,4 @@ def ablation_variants(base: PromptConfig) -> list:
         raise PromptError("ablation base must have every component enabled")
     if base.brevity != "full":
         raise PromptError("ablation base must use full brevity")
-    out = []
-    for label, change in ABLATION_ROWS:
-        if change is None:
-            out.append((label, base))
-        elif change == "very_short":
-            out.append((label, base.replace(brevity="very_short")))
-        else:
-            out.append((label, base.replace(enabled=base.enabled - {change})))
-    return out
+    return [(label, base.replace(**changes)) for label, changes in ABLATION_ROWS]

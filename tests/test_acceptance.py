@@ -88,8 +88,7 @@ def test_01_gold_closed_loop(datasets, capsys, tmp_path):
                                    gold_echo(dataset), mode="record")
             for task in dataset.schema.tasks:
                 cell = run_cell(
-                    dataset, task,
-                    PromptConfig(task=task, schema=dataset.schema), client,
+                    dataset, PromptConfig(task=task, schema=dataset.schema), client,
                 )
                 scores = cell.scores
                 assert (scores.precision, scores.recall, scores.f1) == \
@@ -368,7 +367,7 @@ def test_10_replay_regression(pet, capsys, tmp_path):
         started = time.monotonic()
         client = CachingClient(FIXTURES / "replay_cache", mode="replay")
         cell = run_cell(
-            pet, "MD", PromptConfig(task="MD", schema=pet.schema), client,
+            pet, PromptConfig(task="MD", schema=pet.schema), client,
             out_root=tmp_path, model_id="stub-fixture",
         )
         run_dir = tmp_path / cell.manifest_id

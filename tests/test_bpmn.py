@@ -26,6 +26,7 @@ from procex.bpmn import (
     START,
     TASK,
     XOR,
+    DataAssociation,
     Lane,
     MessageFlow,
     Node,
@@ -524,23 +525,74 @@ def test_task_label_not_doubled_when_object_already_present(pet_schema):
     assert len(g.data_associations) == 1
 
 
-def test_validate_reports_lane_violations():
-    lanes = (Lane("lane_a", "A"), Lane("lane_b", "B"))
-    nodes = (
-        Node("s1", START, "", "lane_a"),
-        Node("t1", TASK, "one", "lane_a"),
-        Node("t2", TASK, "two", "lane_b"),
-        Node("e1", END, "", "lane_a"),
-    )
-    bad = ProcessGraph(
-        lanes=lanes,
-        nodes=nodes,
-        sequence_flows=(SequenceFlow("f1", "t1", "t2"),),
-        message_flows=(MessageFlow("m1", "s1", "t1"),),
-    )
-    problems = validate_graph(bad)
-    assert any("crosses lanes" in p for p in problems)
-    assert any("inside one lane" in p for p in problems)
+_LANES = (Lane("lane_a", "A"), Lane("lane_b", "B"))
+_NODES = (
+    Node("s1", START, "", "lane_a"),
+    Node("t1", TASK, "one", "lane_a"),
+    Node("t2", TASK, "two", "lane_b"),
+    Node("t3", TASK, "three", "lane_b"),
+    Node("e1", END, "", "lane_a"),
+    Node("d1", DATA, "form"),
+)
+VALID_GRAPH = ProcessGraph(
+    lanes=_LANES,
+    nodes=_NODES,
+    sequence_flows=(SequenceFlow("f0", "t2", "t3"),),
+    message_flows=(MessageFlow("m0", "t1", "t2"),),
+    data_associations=(DataAssociation("a0", "d1", "t1"),),
+)
+
+# one broken graph per rule: the fields changed from VALID_GRAPH, and the
+# exact messages validate_graph gives
+GRAPH_RULES = {
+    "lane violations": (
+        {"sequence_flows": (SequenceFlow("f1", "t1", "t2"),),
+         "message_flows": (MessageFlow("m1", "s1", "t1"),)},
+        ["sequence flow f1 crosses lanes", "message flow m1 stays inside one lane"]),
+    "duplicate node ids": (
+        {"nodes": _NODES + (Node("t1", TASK, "again", "lane_a"),)},
+        ["duplicate node ids"]),
+    "unknown kind": (
+        {"nodes": _NODES + (Node("x1", "subprocess", "", "lane_a"),)},
+        ["node x1: unknown kind 'subprocess'"]),
+    "data object in a lane": (
+        {"nodes": _NODES + (Node("d2", DATA, "file", "lane_a"),)},
+        ["data object d2 must not sit in a lane"]),
+    "unresolved lane": (
+        {"nodes": _NODES + (Node("t4", TASK, "four", "lane_z"),)},
+        ["node t4: unresolved lane 'lane_z'"]),
+    "unresolved sequence endpoint": (
+        {"sequence_flows": (SequenceFlow("f1", "t1", "ghost"),)},
+        ["sequence flow f1: unresolved endpoint"]),
+    "unresolved message endpoint": (
+        {"message_flows": (MessageFlow("m1", "ghost", "t2"),)},
+        ["message flow m1: unresolved endpoint"]),
+    "association from a non-data node": (
+        {"data_associations": (DataAssociation("a1", "t2", "t1"),)},
+        ["association a1: 't2' is not a data object"]),
+    "association to a non-task node": (
+        {"data_associations": (DataAssociation("a1", "d1", "e1"),)},
+        ["association a1: 'e1' is not a task"]),
+    "no start event": (
+        {"nodes": _NODES[1:]},
+        ["expected exactly one start event, found 0"]),
+    "two start events": (
+        {"nodes": _NODES + (Node("s2", START, "", "lane_b"),)},
+        ["expected exactly one start event, found 2"]),
+    "no end event": (
+        {"nodes": tuple(n for n in _NODES if n.kind != END)},
+        ["expected at least one end event"]),
+}
+
+
+def test_validate_accepts_the_valid_graph():
+    assert validate_graph(VALID_GRAPH) == []
+
+
+@pytest.mark.parametrize("rule", GRAPH_RULES)
+def test_validate_reports_lane_violations(rule):
+    changes, messages = GRAPH_RULES[rule]
+    assert validate_graph(dataclasses.replace(VALID_GRAPH, **changes)) == messages
 
 
 # ---------------------------------------------------------------------------

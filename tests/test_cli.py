@@ -5,6 +5,7 @@ echoing stub, then drive the CLI in replay mode against it.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -17,10 +18,11 @@ from pathlib import Path
 import pytest
 
 import procex
-from procex import cli, corpus, pipeline
+from procex import cli, corpus, parser, pipeline, prompt
 from procex.bpmn import parse_bpmn
 from procex.cli import main
 from procex.corpus import Dataset, Document, Mention, Token, save_canonical
+from procex.eval import MatchPolicy
 from procex.llm import CachingClient, HttpProvider
 from procex.pipeline import extract_document, run_cell, run_grid
 from procex.prompt import PromptConfig, PromptError
@@ -417,7 +419,7 @@ def test_extract_dataset_writes_run(pet, capsys, tmp_path):
 def test_evaluate_gold_predictions(pet, capsys, tmp_path):
     cache = tmp_path / "cache"
     client = CachingClient(cache, gold_echo(pet), mode="record")
-    cell = run_cell(pet, "MD", PromptConfig(task="MD", schema=pet.schema),
+    cell = run_cell(pet, PromptConfig(task="MD", schema=pet.schema),
                     client, out_root=tmp_path / "runs")
     predictions = tmp_path / "runs" / cell.manifest_id / "predictions.jsonl"
     code = main(["evaluate", "--dataset", str(DATA / "pet.jsonl"),
@@ -428,7 +430,7 @@ def test_evaluate_gold_predictions(pet, capsys, tmp_path):
 
 def md_predictions_file(pet, tmp_path):
     client = CachingClient(tmp_path / "cache", gold_echo(pet), mode="record")
-    cell = run_cell(pet, "MD", PromptConfig(task="MD", schema=pet.schema),
+    cell = run_cell(pet, PromptConfig(task="MD", schema=pet.schema),
                     client, out_root=tmp_path / "runs")
     return tmp_path / "runs" / cell.manifest_id / "predictions.jsonl"
 
@@ -470,7 +472,7 @@ def test_evaluate_rejects_duplicate_document_records(pet, capsys, tmp_path):
 def test_evaluate_task_mismatch(pet, capsys, tmp_path):
     cache = tmp_path / "cache"
     client = CachingClient(cache, gold_echo(pet), mode="record")
-    cell = run_cell(pet, "MD", PromptConfig(task="MD", schema=pet.schema),
+    cell = run_cell(pet, PromptConfig(task="MD", schema=pet.schema),
                     client, out_root=tmp_path / "runs")
     predictions = tmp_path / "runs" / cell.manifest_id / "predictions.jsonl"
     code = main(["evaluate", "--dataset", str(DATA / "pet.jsonl"),
@@ -498,7 +500,7 @@ def test_evaluate_rejects_items_of_another_tasks_kind(pet, capsys, tmp_path):
 def test_evaluate_scores_a_written_run_like_the_run(source, task, capsys, tmp_path):
     dataset = cli._sniff_dataset(str(DATA / source))
     client = CachingClient(tmp_path / "cache", gold_echo(dataset), mode="record")
-    cell = run_cell(dataset, task, PromptConfig(task=task, schema=dataset.schema),
+    cell = run_cell(dataset, PromptConfig(task=task, schema=dataset.schema),
                     client, out_root=tmp_path / "runs")
     predictions = tmp_path / "runs" / cell.manifest_id / "predictions.jsonl"
     code = main(["evaluate", "--dataset", str(DATA / source), "--task", task,
@@ -575,11 +577,14 @@ def test_an_empty_dataset_gives_zero_score_rows(command, capsys, tmp_path):
         runs = list(out.glob("*/scores.json"))
         assert runs and all(json.loads(path.read_text("utf-8"))["document_count"] == 0
                             for path in runs)
+        # one line per record: no record, no byte
+        assert all((path.parent / "predictions.jsonl").stat().st_size == 0
+                   for path in runs)
 
 
 def test_ablate_failure_category_follows_the_exception(pet, capsys, tmp_path,
                                                        monkeypatch):
-    def failing_cell(dataset, task, config, *args, **kwargs):
+    def failing_cell(dataset, config, *args, **kwargs):
         raise PromptError("shot pool too small")
 
     monkeypatch.setattr(pipeline, "run_cell", failing_cell)
@@ -1065,3 +1070,64 @@ def test_config_flag_only_where_it_has_an_effect(command, capsys, tmp_path):
     for kept in (["extract", "--task", "MD", "--dataset", "d"], ["grid", "--dataset", "d"],
                  ["ablate", "--dataset", "d"], ["cache", "list"]):
         assert cli.build_parser().parse_args(kept + ["--config", "x"]).config == "x"
+
+
+# ---------------------------------------------------------------------------
+# input guards: each case runs on the PET schema and a tmp path; its outcome
+# is the value returned or "<exception>: <message>", and it prints nothing
+# unless a third entry gives the output, with {tmp} for the tmp path
+
+DOC = Document("d", "a b", (Token("a", 0, 0), Token("b", 1, 0)))
+
+INPUT_GUARDS = {
+    "parse unknown task": (
+        lambda schema, tmp: parser.parse("activity|a", "XX", schema),
+        "ValueError: unknown task 'XX'"),
+    "predictions unknown task": (
+        lambda schema, tmp: pipeline._predictions_for("XX", parser.parse("", "MD", schema),
+                                                      DOC),
+        "ValueError: unknown task 'XX'"),
+    "score unknown task": (
+        lambda schema, tmp: pipeline.score_predictions("XX", [], DOC,
+                                                       MatchPolicy.from_schema(schema)),
+        "ValueError: unknown task 'XX'"),
+    "render_gold unknown task": (
+        lambda schema, tmp: prompt.render_gold(DOC, "XX"),
+        "PromptError: unknown task 'XX'"),
+    "config unknown task": (
+        lambda schema, tmp: PromptConfig("XX", schema).validate(),
+        "PromptError: unknown task 'XX'"),
+    "config unknown brevity": (
+        lambda schema, tmp: PromptConfig("MD", schema, brevity="terse").validate(),
+        "PromptError: unknown brevity 'terse'"),
+    "config negative shot count": (
+        lambda schema, tmp: PromptConfig("MD", schema, shot_count=-1).validate(),
+        "PromptError: shot_count must be >= 0"),
+    "config non-component": (
+        lambda schema, tmp: PromptConfig(
+            "MD", schema, enabled=prompt.ALL_COMPONENTS | {"Persona"}).validate(),
+        "PromptError: unknown components: {'Persona'}"),
+    "very short ablation base": (
+        lambda schema, tmp: prompt.ablation_variants(
+            PromptConfig("MD", schema, brevity="very_short")),
+        "PromptError: ablation base must use full brevity"),
+    "cache list on a missing directory": (
+        lambda schema, tmp: main(["cache", "list", "--cache", str(tmp / "absent")]),
+        0, "cache {tmp}/absent is empty\n"),
+    # a copy is equal and hashes alike
+    "schema hash": (
+        lambda schema, tmp: (hash(schema) == hash(dataclasses.replace(schema)),
+                             schema == dataclasses.replace(schema)),
+        (True, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_GUARDS))
+def test_input_guards(case, capsys, tmp_path):
+    run, expected, *printed = INPUT_GUARDS[case]
+    try:
+        outcome = run(corpus.load_schema("pet"), tmp_path)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        outcome = f"{type(exc).__name__}: {exc}"
+    assert outcome == expected
+    assert capsys.readouterr().out == "".join(printed).format(tmp=tmp_path)

@@ -211,7 +211,7 @@ def test_concurrency_ceiling(tmp_path):
     pet = corpus.load_pet(DATA / "pet.jsonl")
     dataset = Dataset(schema=pet.schema, documents=pet.documents[:10])
     client = CachingClient(tmp_path, slow_provider, "record", max_concurrency=2)
-    cell = run_cell(dataset, "MD", PromptConfig(task="MD", schema=pet.schema),
+    cell = run_cell(dataset, PromptConfig(task="MD", schema=pet.schema),
                     client)
     assert cell.failure is None
     assert len(list(tmp_path.glob("*.json"))) == 10  # one call per document

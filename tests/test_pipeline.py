@@ -104,7 +104,7 @@ def test_per_document_seeds_differ_per_doc(pet):
 def test_run_cell_perfect_and_persisted(pet, tmp_path):
     client = echo_client(pet, tmp_path)
     out = tmp_path / "runs"
-    cell = run_cell(pet, "MD", md_config(pet), client, out_root=out)
+    cell = run_cell(pet, md_config(pet), client, out_root=out)
     assert cell.scores.f1 == 1.0
     assert cell.parsing_errors == 0
     run_dir = out / cell.manifest_id
@@ -120,6 +120,24 @@ def test_run_cell_perfect_and_persisted(pet, tmp_path):
     assert "zero-shot" in table
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert set(manifest["prompt_fingerprints"]) == {d.id for d in pet.documents}
+
+
+def test_run_cell_rejects_a_config_for_another_schema(pet, decon, tmp_path):
+    client = echo_client(pet, tmp_path)
+    with pytest.raises(ValueError) as err:
+        run_cell(pet, md_config(decon), client, out_root=tmp_path / "runs")
+    assert str(err.value) == (
+        f"config schema {decon.schema.dataset_name!r} is not the schema of "
+        f"dataset {pet.schema.dataset_name!r}")
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "cache").exists()  # no prompt was sent
+
+
+@pytest.mark.parametrize("runner", [run_grid, run_ablation])
+def test_runners_need_a_client(runner, pet):
+    # without one, every cell would fail on its first document
+    with pytest.raises(TypeError, match="client"):
+        runner(pet, ("MD",))
 
 
 def test_run_grid_gold_echo_all_cells_one(pet, tmp_path):
@@ -297,7 +315,7 @@ def test_ablation_persists_table(decon, tmp_path):
 def test_replay_fixture_manifest_id_is_pinned(pet, tmp_path):
     # the id hashes every manifest field but the timestamp and cache mode
     client = CachingClient(DATA / "fixtures" / "replay_cache", mode="replay")
-    cell = run_cell(pet, "MD", PromptConfig(task="MD", schema=pet.schema), client,
+    cell = run_cell(pet, PromptConfig(task="MD", schema=pet.schema), client,
                     out_root=tmp_path, model_id="stub-fixture")
     assert cell.manifest_id == "ac2bd6b32bbb"
     manifest = json.loads((tmp_path / cell.manifest_id / "manifest.json").read_text("utf-8"))

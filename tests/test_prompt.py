@@ -1,15 +1,16 @@
 """Prompt assembly tests."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from procex import corpus, prompt
+from procex import corpus, pipeline, prompt
 from procex.parser import ITEM_KINDS, parse
 from procex.prompt import (
     ALL_COMPONENTS,
-    FewShotExample,
     K,
     PromptConfig,
     PromptError,
@@ -153,23 +154,23 @@ def test_fingerprint_tracks_shots_and_config(pet):
 
 
 def test_select_shots_deterministic(pet):
-    first = select_shots(list(pet.documents), 3, "doc-3.3", 7, "MD")
-    second = select_shots(list(pet.documents), 3, "doc-3.3", 7, "MD")
-    assert [s.source_document_id for s in first] == [s.source_document_id for s in second]
-    assert "doc-3.3" not in {s.source_document_id for s in first}
+    first = select_shots(list(pet.documents), 3, "doc-3.3", 7)
+    second = select_shots(list(pet.documents), 3, "doc-3.3", 7)
+    assert [s.id for s in first] == [s.id for s in second]
+    assert "doc-3.3" not in {s.id for s in first}
     assert len(first) == 3
 
 
 def test_select_shots_zero_and_full(decon):
-    assert select_shots(list(decon.documents), 0, "decon-01", 0, "CE") == []
-    everything = select_shots(list(decon.documents), 17, "absent", 3, "CE")
-    assert sorted(s.source_document_id for s in everything) == \
+    assert select_shots(list(decon.documents), 0, "decon-01", 0) == []
+    everything = select_shots(list(decon.documents), 17, "absent", 3)
+    assert sorted(s.id for s in everything) == \
         sorted(d.id for d in decon.documents)
 
 
 def test_select_shots_overflow_names_both_numbers(decon):
     with pytest.raises(PromptError) as err:
-        select_shots(list(decon.documents), 20, "decon-01", 0, "CE")
+        select_shots(list(decon.documents), 20, "decon-01", 0)
     assert "20" in str(err.value) and "16" in str(err.value)
 
 
@@ -306,3 +307,32 @@ def test_format_examples_cover_every_shipped_schema_and_task():
     shipped = {(path.stem, task) for path in schemas.glob("*.json")
                for task in corpus.load_schema(path.stem).tasks}
     assert shipped == set(FORMAT_EXAMPLE_ITEMS)
+
+
+# sha256 over the text, fingerprint and shot ids of every prompt of the three
+# shipped corpora, document by document: each schema task at 0, 1 and 3 shots
+# with run seeds 0 and 5, then its ten ablation variants; recorded before
+# few-shot selection and the ablation rows were reworked
+PROMPT_DIGEST = "5eaeb2720f557d0b0ba49f41320263096afb85335d30ae59b7cc9e2fba794c23"
+
+
+def test_prompt_bytes_unchanged():
+    digest = hashlib.sha256()
+    count = 0
+    for dataset in (corpus.load_pet(DATA / "pet.jsonl"),
+                    corpus.load_canonical(DATA / "decon.jsonl"),
+                    corpus.load_canonical(DATA / "atdp.jsonl")):
+        for task in dataset.schema.tasks:
+            base = PromptConfig(task=task, schema=dataset.schema)
+            configs = [base.replace(shot_count=n, shot_seed=seed)
+                       for n in (0, 1, 3) for seed in (0, 5)]
+            configs += [variant for _, variant in ablation_variants(base)]
+            for config in configs:
+                for doc in dataset.documents:
+                    rendered = assemble(pipeline._document_config(config, doc.id), doc,
+                                        dataset.documents)
+                    digest.update(json.dumps([rendered.text, rendered.config_fingerprint,
+                                              list(rendered.shot_ids)]).encode() + b"\n")
+                    count += 1
+    assert count == 3280
+    assert digest.hexdigest() == PROMPT_DIGEST

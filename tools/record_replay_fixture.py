@@ -75,7 +75,7 @@ def main() -> None:
 
     client = CachingClient(cache_dir, degraded_provider(dataset), mode="record")
     cell = run_cell(
-        dataset, TASK, PromptConfig(task=TASK, schema=dataset.schema),
+        dataset, PromptConfig(task=TASK, schema=dataset.schema),
         client, out_root=staging, model_id=MODEL_ID,
     )
     run_dir = staging / cell.manifest_id
