@@ -36,6 +36,7 @@ from .corpus import (
     load_canonical,
     load_pet,
     load_schema,
+    read_utf8,
 )
 from .llm import (
     CachingClient,
@@ -43,6 +44,7 @@ from .llm import (
     ProviderError,
     ReplayMissError,
     cache_entries,
+    purge_cache,
 )
 from .parser import (
     ITEM_KINDS,
@@ -53,7 +55,6 @@ from .parser import (
 )
 from .pipeline import (
     DEFAULT_MODEL_ID,
-    _predictions_for,
     extract_document,
     predictions_record,
     read_predictions,
@@ -333,11 +334,13 @@ def cmd_extract(args) -> int:
     client = _make_client(args)
     if args.doc is not None:
         doc = dataset.document(args.doc)
-        _, _, report, predictions = extract_document(
+        _, _, report = extract_document(
             doc, config, client, shot_pool=dataset.documents, model_id=model_id,
         )
+        # parse keeps only the task's item kind, and grounding maps each
+        # item to one prediction
         print(predictions_record(doc.id, task, report,
-                                 prediction_count=len(predictions)))
+                                 prediction_count=len(report.items)))
         return EXIT_OK
     out_root = Path(_resolve(args, "out", "runs"))
     cell = run_cell(dataset, config, client, out_root=out_root, model_id=model_id)
@@ -349,7 +352,8 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     task = args.task
     dataset = _load_dataset(args, [task])
-    predictions: dict = {}
+    doc_ids = {doc.id for doc in dataset.documents}
+    reports: dict = {}
     for where, record, items in read_predictions(args.predictions):
         if record.get("task") != task:
             raise ValidationError(
@@ -361,16 +365,14 @@ def cmd_evaluate(args) -> int:
                 raise ValidationError(
                     f"{where}: item of kind {item['kind']!r} in a record for task {task!r}"
                 )
-        doc = dataset.document(record["document_id"])
-        if doc.id in predictions:
-            raise ValidationError(
-                f"{where}: second record for document {doc.id!r}"
-            )
-        predictions[doc.id] = _predictions_for(
-            task, ParseReport(items, error_lines=(), ignored_line_count=0), doc,
-        )
+        doc_id = record["document_id"]
+        if doc_id not in doc_ids:
+            raise ValidationError(f"{where}: record for unknown document {doc_id!r}")
+        if doc_id in reports:
+            raise ValidationError(f"{where}: second record for document {doc_id!r}")
+        reports[doc_id] = ParseReport(items, error_lines=(), ignored_line_count=0)
     # documents missing from the file count as predicting nothing
-    total, per_doc = score_dataset(dataset, task, predictions)
+    total, per_doc = score_dataset(dataset, task, reports)
     print(
         f"{task}: P={total.precision:.2f} R={total.recall:.2f} "
         f"F1={total.f1:.2f} (documents: {len(per_doc)})"
@@ -394,12 +396,12 @@ def cmd_ablate(args) -> int:
     dataset = _load_dataset(args, args.tasks)
     client = _make_client(args)
     out = _resolve(args, "out")
-    report = run_ablation(
+    rows = run_ablation(
         dataset, tuple(args.tasks), client=client,
         out_root=None if out is None else Path(out),
         model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
     )
-    return _report(render_ablation_table(report), report.rows, "variant(s)")
+    return _report(render_ablation_table(rows), rows, "variant(s)")
 
 
 def _doc_from_predictions(doc, schema, paths):
@@ -497,11 +499,10 @@ def cmd_cache(args) -> int:
             print(f"{entry.stem}  {entry.stat().st_size}")
         print(f"{len(entries)} cache entr{'y' if len(entries) == 1 else 'ies'}")
         return EXIT_OK
-    client = CachingClient(cache_dir, mode="replay")
     cutoff = None
     if args.older_than is not None:
         cutoff = time.time() - args.older_than
-    removed = client.purge_cache(older_than=cutoff)
+    removed = purge_cache(cache_dir, older_than=cutoff)
     print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")
     return EXIT_OK
 
@@ -527,7 +528,7 @@ def main(argv=None) -> int:
     try:
         config_path = getattr(args, "config", None)
         if config_path:
-            text = Path(config_path).read_text("utf-8")
+            text = read_utf8(config_path, config_path)
             args.file_config = check(decode_json(text, config_path), CONFIG_SHAPE,
                                      f"{config_path}: config")
         return args.func(args)

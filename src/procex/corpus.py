@@ -12,6 +12,7 @@ type inventories, definitions, and per-dataset policy knobs as data.
 from __future__ import annotations
 
 import json
+import re
 import string
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -285,15 +286,15 @@ class Dataset:
 def load_schema(source: str | Path) -> SchemaDescriptor:
     """Load a schema from a bundled name ("pet") or a JSON file path."""
     path = Path(source)
+    where = f"schema {source}"
     if path.suffix == ".json" and path.exists():
-        text = path.read_text(encoding="utf-8")
+        text = read_utf8(path, where)
     else:
         ref = resources.files("procex").joinpath("data", "schemas", f"{source}.json")
         try:
             text = ref.read_text(encoding="utf-8")
         except FileNotFoundError:
             raise LoadError(f"no bundled schema or file named {source!r}")
-    where = f"schema {source}"
     schema = SchemaDescriptor.from_record(decode_json(text, where), f"{where}: schema")
     problems = schema.validate()
     if problems:
@@ -533,16 +534,32 @@ def decode_json(text: str, where: str):
         raise LoadError(f"{where}: JSON nested too deeply") from exc
 
 
+def read_utf8(path: str | Path, where: str) -> str:
+    """A whole UTF-8 file's text; other bytes raise LoadError prefixed with where."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{where}: not UTF-8 text ({exc.reason})") from None
+
+
 def json_lines(path: str | Path, prefix: str = "line "):
     """Yield (line number, object) per non-blank line of a JSON-lines file.
 
     Errors name the line as prefix + line number.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if line.strip():
-                where = f"{prefix}{line_no}"
-                yield line_no, check(decode_json(line, where), dict, f"{where}: record")
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if line.strip():
+                    where = f"{prefix}{line_no}"
+                    yield line_no, check(decode_json(line, where), dict, f"{where}: record")
+        except UnicodeDecodeError as exc:
+            # the strict read fails a whole chunk: find the line holding the bad
+            # byte, split as that read splits, with each such byte escaped
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as lines:
+                line_no = next(n for n, line in enumerate(lines, start=1)
+                               if re.search("[\udc80-\udcff]", line))
+            raise LoadError(f"{prefix}{line_no}: not UTF-8 text ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LoadError, check, decode_json
+from .corpus import LoadError, check, decode_json, read_utf8
 
 ENV_API_KEY = "PROCEX_API_KEY"
 ENV_ENDPOINT = "PROCEX_ENDPOINT"
@@ -91,6 +91,18 @@ def cache_entries(cache_dir) -> list:
     return sorted(path for path in Path(cache_dir).glob("*.json")
                   if re.fullmatch(r"[0-9a-f]{64}\.json", path.name)
                   and path.is_file())
+
+
+def purge_cache(cache_dir, older_than: float | None = None) -> int:
+    """Remove the entries of cache_dir, all of them or only those last
+    modified before older_than (a time.time() value); return how many."""
+    removed = 0
+    for path in cache_entries(cache_dir):
+        if older_than is not None and path.stat().st_mtime >= older_than:
+            continue
+        path.unlink()
+        removed += 1
+    return removed
 
 
 class HttpProvider:
@@ -199,7 +211,7 @@ class CachingClient:
         return self.cache_dir / f"{digest}.json"
 
     def _load(self, path: Path) -> ChatResponse:
-        entry = decode_json(path.read_text(encoding="utf-8"), str(path))
+        entry = decode_json(read_utf8(path, str(path)), str(path))
         stored = check(entry, CACHE_ENTRY_SHAPE, f"{path}: cache entry")["response"]
         try:
             return ChatResponse(**{name: stored[name] for name in _RESPONSE_FIELDS},
@@ -260,13 +272,3 @@ class CachingClient:
             response = self._call_provider(request)
             self._store(path, request, response)
             return response
-
-    def purge_cache(self, older_than: float | None = None) -> int:
-        """Remove cache entries, all of them or only those older than a time."""
-        removed = 0
-        for path in cache_entries(self.cache_dir):
-            if older_than is not None and path.stat().st_mtime >= older_than:
-                continue
-            path.unlink()
-            removed += 1
-        return removed

@@ -1,9 +1,10 @@
 """Experiment orchestration.
 
 Runs the extraction loop over whole datasets: render a prompt per
-document, complete it through the caching client, parse and ground
-the response, score against gold.  The grid runner sweeps shot
-counts and the ablation runner sweeps prompt variants.
+document, complete it through the caching client and parse the
+response, then ground and score each report against gold.  The grid
+runner sweeps shot counts and the ablation runner sweeps prompt
+variants.
 
 Every dataset-level run leaves a directory under the output root
 named by its manifest id, holding the manifest, all prompts and raw
@@ -110,45 +111,41 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # single-document extraction
 
-def _predictions_for(task: str, report: ParseReport, doc: Document):
+def score_document(task: str, report: ParseReport, doc: Document,
+                   policy: MatchPolicy):
+    """Ground a document's parse report for task and score it against gold.
+
+    Returns the task-shaped predictions and their TaskScores.
+    """
     if task == "MD":
         grounded, ungrounded = ground_report(report, doc)
-        return grounded + ungrounded
-    if task == "ER":
-        clusters, _ = ground_clusters(report, doc)
-        return clusters
-    if task == "RE":
-        return ground_relations(report, doc)
-    if task == "CE":
-        return [i for i in report.items if isinstance(i, ParsedConstraint)]
-    raise ValueError(f"unknown task {task!r}")
+        predictions = grounded + ungrounded
+        scores = score_md(predictions, list(doc.mentions), policy, doc)
+    elif task == "ER":
+        predictions, _ = ground_clusters(report, doc)
+        scores = score_er(predictions, list(doc.entities), doc)
+    elif task == "RE":
+        predictions = ground_relations(report, doc)
+        scores = score_re(predictions, list(doc.relations), doc, policy)
+    elif task == "CE":
+        predictions = [i for i in report.items if isinstance(i, ParsedConstraint)]
+        scores = score_constraints(predictions, list(doc.constraints), policy)
+    else:
+        raise ValueError(f"unknown task {task!r}")
+    return predictions, scores
 
 
-def score_predictions(task: str, predictions, doc: Document,
-                      policy: MatchPolicy) -> TaskScores:
-    if task == "MD":
-        return score_md(predictions, list(doc.mentions), policy, doc)
-    if task == "ER":
-        return score_er(predictions, list(doc.entities), doc)
-    if task == "RE":
-        return score_re(predictions, list(doc.relations), doc, policy)
-    if task == "CE":
-        return score_constraints(predictions, list(doc.constraints), policy)
-    raise ValueError(f"unknown task {task!r}")
-
-
-def score_dataset(dataset: Dataset, task: str, predictions_by_doc: dict):
+def score_dataset(dataset: Dataset, task: str, reports: dict):
     """Score every document of a dataset under the schema's match policy.
 
-    predictions_by_doc maps document ids to task-shaped predictions; a
-    document without an entry counts as predicting nothing. Returns the
-    micro-aggregated scores and the per-document scores by id.
+    reports maps document ids to parse reports; a document without one
+    counts as predicting nothing. Returns the micro-aggregated scores
+    and the per-document scores by id.
     """
     policy = MatchPolicy.from_schema(dataset.schema)
+    empty = ParseReport(items=(), error_lines=(), ignored_line_count=0)
     per_doc = {
-        doc.id: score_predictions(
-            task, predictions_by_doc.get(doc.id, ()), doc, policy
-        )
+        doc.id: score_document(task, reports.get(doc.id, empty), doc, policy)[1]
         for doc in dataset.documents
     }
     return aggregate([s.counts for s in per_doc.values()]), per_doc
@@ -194,16 +191,13 @@ def _document_config(config: PromptConfig, doc_id: str) -> PromptConfig:
 
 def extract_document(doc: Document, config: PromptConfig, client: CachingClient,
                      shot_pool=(), *, model_id: str = DEFAULT_MODEL_ID):
-    """Prompt, complete, parse, ground one document.
+    """Prompt, complete and parse one document.
 
-    Returns the rendered prompt, the response, the parse report and the
-    task-shaped predictions.
+    Returns the rendered prompt, the response and the parse report.
     """
     rendered = assemble(_document_config(config, doc.id), doc, shot_pool)
     response = client.complete(ChatRequest(model_id, rendered.text))
-    report = parse(response.text, config.task, config.schema)
-    predictions = _predictions_for(config.task, report, doc)
-    return rendered, response, report, predictions
+    return rendered, response, parse(response.text, config.task, config.schema)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +221,6 @@ class CellResult:
 class GridResult:
     cells: tuple
     table_text: str
-
-    @property
-    def failures(self) -> tuple:
-        return tuple(c for c in self.cells if c.failure is not None)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -269,13 +259,13 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
     task = config.task
     rows = _run_over_documents(dataset, config, client, model_id)
     fingerprints: dict = {}
-    predictions_by_doc: dict = {}
+    reports: dict = {}
     parsing_errors = 0
-    for doc, rendered, response, report, predictions in rows:
+    for doc, rendered, response, report in rows:
         fingerprints[doc.id] = rendered.config_fingerprint
-        predictions_by_doc[doc.id] = predictions
+        reports[doc.id] = report
         parsing_errors += report.error_count
-    total, per_doc_scores = score_dataset(dataset, task, predictions_by_doc)
+    total, per_doc_scores = score_dataset(dataset, task, reports)
 
     manifest = RunManifest(
         dataset_name=dataset.schema.dataset_name,
@@ -303,7 +293,7 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
         (run_dir / "responses").mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "manifest.json", manifest.to_record())
         lines = []
-        for doc, rendered, response, report, predictions in rows:
+        for doc, rendered, response, report in rows:
             (run_dir / "prompts" / f"{doc.id}.txt").write_text(
                 rendered.text, encoding="utf-8"
             )
@@ -372,12 +362,7 @@ def render_grid_table(cells) -> str:
     """Plain-text score table, one block per dataset and task."""
     refs = reference_scores()
     out: list = []
-    seen_blocks: list = []
-    for cell in cells:
-        key = (cell.dataset_name, cell.task)
-        if key not in seen_blocks:
-            seen_blocks.append(key)
-    for dataset_name, task in seen_blocks:
+    for dataset_name, task in dict.fromkeys((c.dataset_name, c.task) for c in cells):
         out.append(f"dataset: {dataset_name}  task: {task}")
         out.append(f"  {'configuration':<22}{'P':>7}{'R':>7}{'F1':>7}")
         baseline = refs.get(dataset_name, {}).get(task, {}).get("baseline")
@@ -418,18 +403,10 @@ class AblationRow:
                                                 repr=False)
 
 
-@dataclass(frozen=True)
-class AblationReport:
-    rows: tuple
-
-    def for_task(self, task: str) -> tuple:
-        return tuple(r for r in self.rows if r.task == task)
-
-
 def run_ablation(dataset: Dataset, tasks, *, client: CachingClient,
-                 out_root=None, model_id: str = DEFAULT_MODEL_ID) -> AblationReport:
+                 out_root=None, model_id: str = DEFAULT_MODEL_ID) -> tuple:
     """Remove one prompt component at a time from the zero-shot prompt
-    and measure the damage."""
+    and measure the damage; returns one AblationRow per task and variant."""
     rows: list = []
     for task in tasks:
         base = PromptConfig(task=task, schema=dataset.schema)
@@ -444,36 +421,35 @@ def run_ablation(dataset: Dataset, tasks, *, client: CachingClient,
             rows.append(AblationRow(task, label, f1, relative,
                                     cell.parsing_errors, failure=cell.failure,
                                     error=cell.error))
-    report = AblationReport(rows=tuple(rows))
+    rows = tuple(rows)
     if out_root is not None:
         payload = {
             "rows": [
                 {f.name: getattr(r, f.name) for f in dataclasses.fields(r)
                  if f.name != "error"}
-                for r in report.rows
+                for r in rows
             ],
         }
         root = Path(out_root)
         root.mkdir(parents=True, exist_ok=True)
         _write_json(root / "ablation.json", payload)
         (root / "table.txt").write_text(
-            render_ablation_table(report), encoding="utf-8"
+            render_ablation_table(rows), encoding="utf-8"
         )
-    return report
+    return rows
 
 
-def render_ablation_table(report: AblationReport) -> str:
+def render_ablation_table(rows) -> str:
+    """Plain-text ablation table, one block per task in row order."""
     out: list = []
-    tasks = []
-    for row in report.rows:
-        if row.task not in tasks:
-            tasks.append(row.task)
-    for task in tasks:
+    for task in dict.fromkeys(row.task for row in rows):
         out.append(f"task: {task}")
         out.append(
             f"  {'variant':<22}{'rel F1':>9}{'abs F1':>9}{'parse errors':>15}"
         )
-        for row in report.for_task(task):
+        for row in rows:
+            if row.task != task:
+                continue
             if row.failure is not None:
                 out.append(f"  {row.label:<22}{'-':>9}{'-':>9}  [{row.failure}]")
                 continue

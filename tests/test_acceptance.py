@@ -33,12 +33,7 @@ from procex.eval import (
 )
 from procex.llm import CachingClient
 from procex.parser import GroundedMention, ParsedMention, parse
-from procex.pipeline import (
-    _predictions_for,
-    per_document_seed,
-    run_cell,
-    score_predictions,
-)
+from procex.pipeline import per_document_seed, run_cell, score_document
 from procex.prompt import (
     K,
     PromptConfig,
@@ -298,9 +293,9 @@ def test_08_gold_round_trip(datasets, capsys):
                     response = "\n".join(render_gold(doc, task))
                     report = parse(response, task, dataset.schema)
                     assert report.error_count == 0, (doc.id, task)
-                    predictions = _predictions_for(task, report, doc)
-                    counts = score_predictions(task, predictions, doc,
-                                               policy).counts
+                    predictions, scores = score_document(task, report, doc,
+                                                         policy)
+                    counts = scores.counts
                     assert counts.correct == counts.predicted == counts.gold, \
                         (doc.id, task)
                     if task == "MD":

@@ -40,7 +40,6 @@ from procex.bpmn import (
     compile_document,
     consolidate,
     layout,
-    link,
     parse_bpmn,
     serialize_bpmn,
     validate_graph,

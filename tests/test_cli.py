@@ -21,9 +21,9 @@ import procex
 from procex import cli, corpus, parser, pipeline, prompt
 from procex.bpmn import parse_bpmn
 from procex.cli import main
-from procex.corpus import Dataset, Document, Mention, Token, save_canonical
+from procex.corpus import Constraint, Dataset, Document, Mention, Token, save_canonical
 from procex.eval import MatchPolicy
-from procex.llm import CachingClient, HttpProvider
+from procex.llm import CachingClient, ChatRequest, HttpProvider, cache_key
 from procex.pipeline import extract_document, run_cell, run_grid
 from procex.prompt import PromptConfig, PromptError
 
@@ -221,6 +221,25 @@ def test_every_keyword_only_parameter_is_passed_outside_tests():
                 and param.name not in passed | allowed
             ]
     assert unpassed == []
+
+
+def test_every_import_is_used():
+    # a name an import binds that no code reads is dead weight
+    root = DATA.parent
+    unused = []
+    for pattern in ("src/procex/*.py", "tools/*.py", "tests/*.py"):
+        for path in sorted(root.glob(pattern)):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [
+                f"{path.relative_to(root)}:{node.lineno}: {alias.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+                if (alias.asname or alias.name).split(".")[0] not in read
+            ]
+    assert unused == []
 
 
 def record_one_entry(pet, cache_dir):
@@ -492,6 +511,19 @@ def test_evaluate_rejects_items_of_another_tasks_kind(pet, capsys, tmp_path):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: data: {predictions}:1: item of kind 'relation' in a record for task 'MD'"
+    ]
+
+
+def test_evaluate_names_the_record_of_an_unknown_document(capsys, tmp_path):
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text("".join(
+        json.dumps({"document_id": doc_id, "task": "MD", "items": []}) + "\n"
+        for doc_id in ("doc-1.1", "doc-9.9")), encoding="utf-8")
+    code = main(["evaluate", "--dataset", str(DATA / "pet.jsonl"),
+                 "--task", "MD", "--predictions", str(predictions)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: data: {predictions}:2: record for unknown document 'doc-9.9'"
     ]
 
 
@@ -978,6 +1010,67 @@ def test_malformed_schema_file_is_data_error(case, capsys, tmp_path):
     assert err[0].startswith(f"error: data: schema {schema}: "), err
 
 
+# Input files holding a byte that is not UTF-8: each case writes its file
+# under a tmp path and returns the command line and the error's prefix
+
+def _with_bad_byte(path, text=""):
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    return str(path)
+
+
+def _first_lines(name, count):
+    lines = (DATA / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    return "".join(lines[:count])
+
+
+def _no_predictions(tmp):
+    path = tmp / "empty.jsonl"
+    path.write_text("", encoding="utf-8")
+    return str(path)
+
+
+def _bad_cache_entry(pet, tmp):
+    entry = record_one_entry(pet, tmp / "c")
+    text = entry.read_text(encoding="utf-8")
+    _with_bad_byte(entry, text[:100])
+    return (["extract", "--dataset", str(DATA / "pet.jsonl"), "--task", "MD",
+             "--doc", "doc-1.1", "--mode", "replay", "--cache", str(tmp / "c")],
+            str(entry))
+
+
+NOT_UTF8 = {
+    # the bad byte opens line 3, after two long lines
+    "dataset": lambda pet, tmp: (
+        ["evaluate", "--task", "MD", "--predictions", _no_predictions(tmp),
+         "--dataset", _with_bad_byte(tmp / "d.jsonl", _first_lines("decon.jsonl", 2))],
+        "line 3"),
+    "predictions": lambda pet, tmp: (
+        ["evaluate", "--dataset", str(DATA / "pet.jsonl"), "--task", "MD",
+         "--predictions", _with_bad_byte(tmp / "p.jsonl", '{"document_id": "doc-1.1", '
+                                         '"task": "MD", "items": []}\n\n{"document_id": "')],
+        f"{tmp / 'p.jsonl'}:3"),
+    "config": lambda pet, tmp: (
+        ["cache", "list", "--cache", str(tmp / "c"),
+         "--config", _with_bad_byte(tmp / "conf.json", '{"cache": "')],
+        str(tmp / "conf.json")),
+    "cache entry": _bad_cache_entry,
+    "schema": lambda pet, tmp: (
+        ["evaluate", "--dataset", str(DATA / "decon.jsonl"), "--task", "MD",
+         "--schema", _with_bad_byte(tmp / "s.json", '{"dataset_name": "'),
+         "--predictions", _no_predictions(tmp)],
+        f"schema {tmp / 's.json'}"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_UTF8))
+def test_input_that_is_not_utf8_is_data_error_naming_where(kind, pet, capsys, tmp_path):
+    argv, prefix = NOT_UTF8[kind](pet, tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: data: {prefix}: not UTF-8 text (invalid start byte)"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # checks made when a dataset or schema loads
 
@@ -1075,21 +1168,37 @@ def test_config_flag_only_where_it_has_an_effect(command, capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # input guards: each case runs on the PET schema and a tmp path; its outcome
 # is the value returned or "<exception>: <message>", and it prints nothing
-# unless a third entry gives the output, with {tmp} for the tmp path
+# unless a third entry gives the output; {tmp} stands for the tmp path
 
 DOC = Document("d", "a b", (Token("a", 0, 0), Token("b", 1, 0)))
+REQUEST = ChatRequest("m", "p")
+
+
+def _pet_file(tmp, **fields):
+    """A one-document PET file, with fields replacing the defaults."""
+    record = {"document name": "d", "tokens": ["a", "b"], "sentence-IDs": [0, 0],
+              "ner-tags": ["B-Actor", "O"], **fields}
+    path = tmp / "pet.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+def _replay_client(tmp, **response):
+    """A replay client whose cache holds REQUEST's entry, with response
+    fields replacing the defaults."""
+    entry = {"response": {"text": "", "input_token_count": 0, "output_token_count": 0,
+                          "provider_name": "x", **response}}
+    (tmp / f"{cache_key(REQUEST)}.json").write_text(json.dumps(entry), encoding="utf-8")
+    return CachingClient(tmp, mode="replay")
+
 
 INPUT_GUARDS = {
     "parse unknown task": (
         lambda schema, tmp: parser.parse("activity|a", "XX", schema),
         "ValueError: unknown task 'XX'"),
-    "predictions unknown task": (
-        lambda schema, tmp: pipeline._predictions_for("XX", parser.parse("", "MD", schema),
-                                                      DOC),
-        "ValueError: unknown task 'XX'"),
     "score unknown task": (
-        lambda schema, tmp: pipeline.score_predictions("XX", [], DOC,
-                                                       MatchPolicy.from_schema(schema)),
+        lambda schema, tmp: pipeline.score_document("XX", parser.parse("", "MD", schema),
+                                                    DOC, MatchPolicy.from_schema(schema)),
         "ValueError: unknown task 'XX'"),
     "render_gold unknown task": (
         lambda schema, tmp: prompt.render_gold(DOC, "XX"),
@@ -1114,6 +1223,47 @@ INPUT_GUARDS = {
     "cache list on a missing directory": (
         lambda schema, tmp: main(["cache", "list", "--cache", str(tmp / "absent")]),
         0, "cache {tmp}/absent is empty\n"),
+    "schema duplicate type": (
+        lambda schema, tmp: dataclasses.replace(
+            schema, mention_types=schema.mention_types + ("Actor",)).validate(),
+        ["duplicate mention type 'Actor'"]),
+    "schema unknown task": (
+        lambda schema, tmp: dataclasses.replace(schema, tasks=("MD", "XX")).validate(),
+        ["unknown task 'XX'"]),
+    "no such schema": (
+        lambda schema, tmp: corpus.load_schema("absent"),
+        "LoadError: no bundled schema or file named 'absent'"),
+    "duplicate constraint id": (
+        lambda schema, tmp: corpus.validate(dataclasses.replace(DOC, constraints=(
+            Constraint("c1", "Precedence", False, "a", "b"),
+            Constraint("c1", "Init", False, "a")))),
+        ["duplicate constraint id c1"]),
+    "empty constraint action": (
+        lambda schema, tmp: corpus.validate(dataclasses.replace(DOC, constraints=(
+            Constraint("c1", "Precedence", False, "a", " "),))),
+        ["constraint c1: empty second action"]),
+    "duplicate document id": (
+        lambda schema, tmp: corpus.validate_dataset(Dataset(schema, (DOC, DOC))),
+        ["duplicate document id d"]),
+    "pet tag type not in schema": (
+        lambda schema, tmp: corpus.load_pet(_pet_file(tmp, **{"ner-tags": ["B-Robot", "O"]})),
+        "LoadError: line 1: BIO tag type 'Robot' not in schema"),
+    "pet relation type not in schema": (
+        lambda schema, tmp: corpus.load_pet(_pet_file(tmp, relations=[
+            {"relation-type": "owns", "source-mention-id": 0, "target-mention-id": 0}])),
+        "LoadError: line 1: relation type 'owns' not in schema"),
+    "cache entry negative token count": (
+        lambda schema, tmp: _replay_client(tmp, output_token_count=-1).complete(REQUEST),
+        f"LoadError: {{tmp}}/{cache_key(REQUEST)}.json: token counts must be >= 0"),
+    "predictions unknown item kind": (
+        lambda schema, tmp: parser.item_from_record({"kind": "gateway"}),
+        "LoadError: item has unknown kind 'gateway'"),
+    "older-than not a number": (
+        lambda schema, tmp: cli._seconds("abc"),
+        "ArgumentTypeError: not a number: 'abc'"),
+    "match policy unknown value": (
+        lambda schema, tmp: MatchPolicy(span_mode="exact"),
+        "ValueError: unknown span_mode 'exact'"),
     # a copy is equal and hashes alike
     "schema hash": (
         lambda schema, tmp: (hash(schema) == hash(dataclasses.replace(schema)),
@@ -1129,5 +1279,7 @@ def test_input_guards(case, capsys, tmp_path):
         outcome = run(corpus.load_schema("pet"), tmp_path)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         outcome = f"{type(exc).__name__}: {exc}"
+    if isinstance(expected, str):
+        expected = expected.replace("{tmp}", str(tmp_path))
     assert outcome == expected
     assert capsys.readouterr().out == "".join(printed).format(tmp=tmp_path)

@@ -1,6 +1,5 @@
 """Scoring tests, including the brute-force matching oracle."""
 
-import itertools
 import random
 from pathlib import Path
 

@@ -19,6 +19,7 @@ from procex.llm import (
     ReplayMissError,
     TransientProviderError,
     cache_key,
+    purge_cache,
 )
 from procex.pipeline import run_cell
 from procex.prompt import PromptConfig
@@ -237,10 +238,10 @@ def test_purge_all_and_filtered(tmp_path):
     client = CachingClient(tmp_path, spy, "record")
     for i in range(3):
         client.complete(make_request(f"prompt {i}"))
-    keep_all = client.purge_cache(older_than=0.0)  # nothing is that old
+    keep_all = purge_cache(tmp_path, older_than=0.0)  # nothing is that old
     assert keep_all == 0
-    assert client.purge_cache() == 3
-    assert client.purge_cache() == 0
+    assert purge_cache(tmp_path) == 3
+    assert purge_cache(tmp_path) == 0
 
 
 # ---------------------------------------------------------------------------

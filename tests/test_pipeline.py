@@ -16,7 +16,6 @@ from procex.corpus import Dataset
 from procex.llm import CachingClient, ChatResponse, ProviderError
 from procex.parser import GroundedMention
 from procex.pipeline import (
-    AblationReport,
     RunManifest,
     extract_document,
     per_document_seed,
@@ -56,14 +55,14 @@ def md_config(dataset, **kw):
 def test_extract_gold_echo_scores_one(pet, tmp_path):
     doc = pet.documents[0]
     client = echo_client(pet, tmp_path)
-    _, _, report, predictions = extract_document(
+    _, _, report = extract_document(
         doc, md_config(pet), client
     )
     assert report.error_count == 0
-    assert all(isinstance(p, GroundedMention) for p in predictions)
-    scores = pipeline.score_predictions(
-        "MD", predictions, doc, pipeline.MatchPolicy.from_schema(pet.schema)
+    predictions, scores = pipeline.score_document(
+        "MD", report, doc, pipeline.MatchPolicy.from_schema(pet.schema)
     )
+    assert all(isinstance(p, GroundedMention) for p in predictions)
     assert scores.f1 == 1.0
 
 
@@ -72,18 +71,17 @@ def test_extract_empty_response(pet, tmp_path):
         tmp_path / "c", lambda req: ChatResponse("", 0, 0, "empty"),
         mode="record",
     )
-    _, _, report, predictions = extract_document(
+    _, _, report = extract_document(
         pet.documents[0], md_config(pet), client
     )
     assert report.items == ()
     assert report.error_count == 0
-    assert predictions == []
 
 
 def test_extract_never_includes_target_as_shot(pet, tmp_path):
     client = echo_client(pet, tmp_path)
     for doc in pet.documents[:6]:
-        rendered, _, _, _ = extract_document(
+        rendered, _, _ = extract_document(
             doc, md_config(pet, shot_count=3), client, shot_pool=pet.documents
         )
         assert doc.id not in rendered.shot_ids
@@ -180,7 +178,7 @@ def test_run_grid_marks_failed_cells(pet, tmp_path):
     assert by_task["MD"].failure is None
     assert by_task["RE"].failure is not None
     assert "quota exhausted" in by_task["RE"].failure
-    assert len(result.failures) == 1
+    assert sum(c.failure is not None for c in result.cells) == 1
     assert "[ProviderError" in result.table_text
 
 
@@ -236,19 +234,19 @@ def test_render_grid_table_marks_missing_reference():
 
 def test_ablation_gold_echo(decon, tmp_path):
     client = echo_client(decon, tmp_path)
-    report = run_ablation(decon, tasks=("MD", "CE"), client=client)
-    labels = [r.label for r in report.for_task("MD")]
+    rows = run_ablation(decon, tasks=("MD", "CE"), client=client)
+    labels = [r.label for r in rows if r.task == "MD"]
     assert labels == [
         "Baseline", "No Format Examples", "No Context Manager", "No Persona",
         "No Meta Language", "No Chain of Thought", "No Disambiguation",
         "No Reflection", "No Fact Check List", "Very Short Prompt",
     ]
-    for row in report.rows:
+    for row in rows:
         assert row.failure is None
         assert row.absolute_f1 == 1.0
         assert row.relative_f1 == 0.0
         assert row.parsing_errors == 0
-    assert report.for_task("MD")[0].relative_f1 == 0.0
+    assert rows[0].relative_f1 == 0.0
 
 
 def test_ablation_errors_isolated_to_one_variant(decon, tmp_path):
@@ -262,8 +260,8 @@ def test_ablation_errors_isolated_to_one_variant(decon, tmp_path):
         return gold_echo(decon)(request)
 
     client = CachingClient(tmp_path / "c", provider, mode="record")
-    report = run_ablation(decon, tasks=("MD",), client=client)
-    for row in report.rows:
+    rows = run_ablation(decon, tasks=("MD",), client=client)
+    for row in rows:
         if row.label == "No Format Examples":
             assert row.parsing_errors == 2 * len(decon.documents)
             assert row.absolute_f1 == 0.0
@@ -281,22 +279,22 @@ def test_ablation_failed_variant_marked(decon, tmp_path):
         return gold_echo(decon)(request)
 
     client = CachingClient(tmp_path / "c", provider, mode="record", retries=1)
-    report = run_ablation(decon, tasks=("MD",), client=client)
-    by_label = {r.label: r for r in report.rows}
+    rows = run_ablation(decon, tasks=("MD",), client=client)
+    by_label = {r.label: r for r in rows}
     assert by_label["No Persona"].failure is not None
     assert by_label["Baseline"].failure is None
     assert by_label["Baseline"].absolute_f1 == 1.0
-    table = pipeline.render_ablation_table(report)
+    table = pipeline.render_ablation_table(rows)
     assert "[ProviderError" in table
 
 
 def test_ablation_table_without_baseline_marks_relative_f1():
-    report = AblationReport(rows=(
+    rows = (
         pipeline.AblationRow("MD", "Baseline", None, None, 0,
                              failure="ProviderError: refused"),
         pipeline.AblationRow("MD", "No Persona", 0.5, None, 2),
-    ))
-    lines = pipeline.render_ablation_table(report).splitlines()
+    )
+    lines = pipeline.render_ablation_table(rows).splitlines()
     row = next(line for line in lines if "No Persona" in line)
     assert row.split() == ["No", "Persona", "-", "0.500", "2"]
 
@@ -304,12 +302,12 @@ def test_ablation_table_without_baseline_marks_relative_f1():
 def test_ablation_persists_table(decon, tmp_path):
     client = echo_client(decon, tmp_path)
     out = tmp_path / "abl"
-    report = run_ablation(decon, tasks=("MD",), client=client, out_root=out)
+    rows = run_ablation(decon, tasks=("MD",), client=client, out_root=out)
     assert (out / "ablation.json").is_file()
     text = (out / "table.txt").read_text()
     assert "Very Short Prompt" in text
     saved = json.loads((out / "ablation.json").read_text())
-    assert len(saved["rows"]) == len(report.rows)
+    assert len(saved["rows"]) == len(rows)
 
 
 def test_replay_fixture_manifest_id_is_pinned(pet, tmp_path):
