@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage, 2 data or validation problem, 3
-provider problem.  Every failure writes one line to stderr shaped
-"error: <category>: <message>".
+provider problem.  Every such failure writes one line to stderr shaped
+"error: <category>: <message>"; pipeline.DATA_ERRORS and
+pipeline.PROVIDER_ERRORS name the two categories.  Any other exception
+is a bug and propagates.
 
 Settings follow flag > environment > config file.  Environment names
 are the upper-cased flag with a PROCEX_ prefix (PROCEX_MODEL,
@@ -38,14 +40,7 @@ from .corpus import (
     load_schema,
     read_utf8,
 )
-from .llm import (
-    CachingClient,
-    HttpProvider,
-    ProviderError,
-    ReplayMissError,
-    cache_entries,
-    purge_cache,
-)
+from .llm import CachingClient, HttpProvider, cache_entries, purge_cache
 from .parser import (
     ITEM_KINDS,
     ParseReport,
@@ -54,7 +49,9 @@ from .parser import (
     ground_report,
 )
 from .pipeline import (
+    DATA_ERRORS,
     DEFAULT_MODEL_ID,
+    PROVIDER_ERRORS,
     extract_document,
     predictions_record,
     read_predictions,
@@ -65,7 +62,7 @@ from .pipeline import (
     run_grid,
     score_dataset,
 )
-from .prompt import PromptConfig, PromptError
+from .prompt import PromptConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,15 +97,9 @@ def _fail(category: str, message: str) -> None:
     sys.stderr.write(f"error: {category}: {_one_line(message)}\n")
 
 
-_DATA_ERRORS = (LoadError, ValidationError, PromptError, KeyError, ValueError,
-                OSError)
-
-
 def _data_message(exc: Exception) -> str:
     if isinstance(exc, FileNotFoundError):
         return f"{exc.filename}: no such file"
-    if isinstance(exc, KeyError):
-        return f"unknown id {exc.args[0]!r}" if exc.args else str(exc)
     return str(exc)
 
 
@@ -277,6 +268,17 @@ def _cache_dir(args) -> Path:
     return cache_dir
 
 
+def _model_id(args) -> str:
+    """The model setting; argv and the environment bring a byte that is not
+    UTF-8 as a lone surrogate, which no request or cache key can encode."""
+    model_id = _resolve(args, "model", DEFAULT_MODEL_ID)
+    try:
+        model_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"model id {model_id!r} is not UTF-8 text") from None
+    return model_id
+
+
 def _make_client(args) -> CachingClient:
     mode = _resolve(args, "mode", "record")
     cache_dir = _cache_dir(args)
@@ -313,7 +315,7 @@ def _report(table: str, rows, what: str) -> int:
     if not failed:
         return EXIT_OK
     message = f"{len(failed)} {what} failed; first: {failed[0].failure}"
-    if isinstance(failed[0].error, _DATA_ERRORS):
+    if isinstance(failed[0].error, DATA_ERRORS):
         _fail("data", message)
         return EXIT_DATA
     _fail("provider", message)
@@ -326,7 +328,7 @@ def _report(table: str, rows, what: str) -> int:
 def cmd_extract(args) -> int:
     task = args.task
     dataset = _load_dataset(args, [task])
-    model_id = _resolve(args, "model", DEFAULT_MODEL_ID)
+    model_id = _model_id(args)
     config = PromptConfig(
         task=task, schema=dataset.schema,
         shot_count=args.shots, shot_seed=args.seed,
@@ -337,10 +339,7 @@ def cmd_extract(args) -> int:
         _, _, report = extract_document(
             doc, config, client, shot_pool=dataset.documents, model_id=model_id,
         )
-        # parse keeps only the task's item kind, and grounding maps each
-        # item to one prediction
-        print(predictions_record(doc.id, task, report,
-                                 prediction_count=len(report.items)))
+        print(predictions_record(doc.id, task, report))
         return EXIT_OK
     out_root = Path(_resolve(args, "out", "runs"))
     cell = run_cell(dataset, config, client, out_root=out_root, model_id=model_id)
@@ -386,7 +385,7 @@ def cmd_grid(args) -> int:
     result = run_grid(
         dataset, tasks=args.tasks, shot_counts=args.shots, client=client,
         out_root=Path(_resolve(args, "out", "runs")),
-        model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
+        model_id=_model_id(args),
         shot_seed=args.seed,
     )
     return _report(result.table_text, result.cells, "cell(s)")
@@ -399,7 +398,7 @@ def cmd_ablate(args) -> int:
     rows = run_ablation(
         dataset, tuple(args.tasks), client=client,
         out_root=None if out is None else Path(out),
-        model_id=_resolve(args, "model", DEFAULT_MODEL_ID),
+        model_id=_model_id(args),
     )
     return _report(render_ablation_table(rows), rows, "variant(s)")
 
@@ -531,11 +530,15 @@ def main(argv=None) -> int:
             text = read_utf8(config_path, config_path)
             args.file_config = check(decode_json(text, config_path), CONFIG_SHAPE,
                                      f"{config_path}: config")
+            # argv and the environment cannot hold NUL; a JSON string can
+            for name in ("cache", "out"):
+                if "\0" in args.file_config.get(name, ""):
+                    raise LoadError(f"{config_path}: config field {name!r} holds a NUL byte")
         return args.func(args)
-    except (ProviderError, ReplayMissError) as exc:
+    except PROVIDER_ERRORS as exc:
         _fail("provider", str(exc))
         return EXIT_PROVIDER
-    except _DATA_ERRORS as exc:
+    except DATA_ERRORS as exc:
         _fail("data", _data_message(exc))
         return EXIT_DATA
 

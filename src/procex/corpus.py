@@ -280,7 +280,7 @@ class Dataset:
         for doc in self.documents:
             if doc.id == doc_id:
                 return doc
-        raise KeyError(doc_id)
+        raise ValidationError(f"unknown id {doc_id!r}")
 
 
 def load_schema(source: str | Path) -> SchemaDescriptor:
@@ -524,14 +524,28 @@ def _json_type(kind) -> str:
     return _JSON_TYPES.get(kind, kind.__name__)
 
 
+# a JSON escape of a UTF-16 surrogate: the one way valid JSON text decodes
+# to a string that no UTF-8 file or cache key can encode, if it stands alone
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def decode_json(text: str, where: str):
-    """json.loads, raising LoadError prefixed with where on bad input."""
+    """json.loads, raising LoadError prefixed with where on bad input, an
+    integer past Python's digit limit or a lone surrogate escape included."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
     except json.JSONDecodeError as exc:
         raise LoadError(f"{where}: not valid JSON ({exc.msg})") from exc
     except RecursionError as exc:  # valid JSON, but nested too deeply to decode
         raise LoadError(f"{where}: JSON nested too deeply") from exc
+    except UnicodeEncodeError as exc:
+        raise LoadError(f"{where}: JSON string holds a lone surrogate "
+                        f"{exc.object[exc.start]!r}") from None
+    except ValueError as exc:  # an integer with too many digits
+        raise LoadError(f"{where}: JSON integer too long ({exc})") from None
 
 
 def read_utf8(path: str | Path, where: str) -> str:
@@ -545,21 +559,21 @@ def read_utf8(path: str | Path, where: str) -> str:
 def json_lines(path: str | Path, prefix: str = "line "):
     """Yield (line number, object) per non-blank line of a JSON-lines file.
 
-    Errors name the line as prefix + line number.
+    Errors name the line as prefix + line number, and come in file order.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            for line_no, line in enumerate(handle, start=1):
-                if line.strip():
-                    where = f"{prefix}{line_no}"
-                    yield line_no, check(decode_json(line, where), dict, f"{where}: record")
-        except UnicodeDecodeError as exc:
-            # the strict read fails a whole chunk: find the line holding the bad
-            # byte, split as that read splits, with each such byte escaped
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as lines:
-                line_no = next(n for n, line in enumerate(lines, start=1)
-                               if re.search("[\udc80-\udcff]", line))
-            raise LoadError(f"{prefix}{line_no}: not UTF-8 text ({exc.reason})") from None
+    # each byte that is not UTF-8 is read as an escape, so the faults of
+    # every line come out in order, whatever the size of a decode chunk;
+    # an ASCII line, found in constant time, holds no escape
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            where = f"{prefix}{line_no}"
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise LoadError(f"{where}: not UTF-8 text ({exc.reason})") from None
+            if line.strip():
+                yield line_no, check(decode_json(line, where), dict, f"{where}: record")
 
 
 # ---------------------------------------------------------------------------

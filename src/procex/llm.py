@@ -13,8 +13,8 @@ digest make one call, and ``min_interval`` spaces calls out.
 The live provider POSTs to ``$PROCEX_ENDPOINT`` with
 ``Authorization: Bearer $PROCEX_API_KEY`` and a 60-second timeout. A
 reply that is not a chat completion, token counts that are not JSON
-integers >= 0 included, is a ``ProviderError``; a missing or null
-``usage`` counts as 0 tokens.
+integers >= 0 and text holding a lone surrogate included, is a
+``ProviderError``; a missing or null ``usage`` counts as 0 tokens.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LoadError, check, decode_json, read_utf8
+from .corpus import LoadError, ValidationError, check, decode_json, read_utf8
 
 ENV_API_KEY = "PROCEX_API_KEY"
 ENV_ENDPOINT = "PROCEX_ENDPOINT"
@@ -162,12 +162,14 @@ class HttpProvider:
             counts = [usage.get(k, 0) for k in ("prompt_tokens", "completion_tokens")]
             if any(type(n) is not int for n in counts):  # bool, float, str
                 raise TypeError(f"token counts must be JSON integers: {counts}")
-            return ChatResponse(
+            response = ChatResponse(
                 text=text,
                 input_token_count=counts[0],
                 output_token_count=counts[1],
                 provider_name=f"http:{self.endpoint}",
             )
+            response.text.encode("utf-8")  # no cache entry holds a lone surrogate
+            return response
         except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed provider payload: {exc}") from exc
 
@@ -187,7 +189,7 @@ class CachingClient:
                  max_concurrency: int = 4, min_interval: float = 0.0,
                  sleep=time.sleep):
         if mode not in ("record", "replay"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise ValidationError(f"unknown mode {mode!r}")
         if mode == "record" and provider is None:
             raise ValueError("record mode needs a provider")
         self.cache_dir = Path(cache_dir)

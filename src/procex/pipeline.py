@@ -25,7 +25,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from . import __version__
-from .corpus import Dataset, Document, check, json_lines
+from .corpus import Dataset, Document, LoadError, ValidationError, check, json_lines
 from .eval import (
     MatchPolicy,
     TaskScores,
@@ -35,7 +35,7 @@ from .eval import (
     score_md,
     score_re,
 )
-from .llm import CachingClient, ChatRequest
+from .llm import CachingClient, ChatRequest, ProviderError, ReplayMissError
 from .parser import (
     ParsedConstraint,
     ParseReport,
@@ -46,11 +46,16 @@ from .parser import (
     item_to_record,
     parse,
 )
-from .prompt import PromptConfig, ablation_variants, assemble
+from .prompt import PromptConfig, PromptError, ablation_variants, assemble
 
 DEFAULT_MODEL_ID = "stub"
 DEFAULT_SHOT_COUNTS = (0, 1, 3)
 REPLAY_TIMESTAMP = "1970-01-01T00:00:00Z"
+
+# the failures that bad input or a failing provider can cause, each raised
+# where it happens; any other exception is a bug and propagates
+DATA_ERRORS = (LoadError, ValidationError, PromptError, OSError)
+PROVIDER_ERRORS = (ProviderError, ReplayMissError)
 
 _BASELINES_PATH = Path(__file__).resolve().parent / "data" / "baselines.json"
 
@@ -325,10 +330,10 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
 
 def _cell_or_failure(dataset: Dataset, config: PromptConfig,
                      client: CachingClient, **kwargs) -> CellResult:
-    """run_cell, with an exception turned into a failed cell."""
+    """run_cell, with a data or provider error turned into a failed cell."""
     try:
         return run_cell(dataset, config, client, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - a failed cell is a row
+    except DATA_ERRORS + PROVIDER_ERRORS as exc:
         return CellResult(dataset.schema.dataset_name, config.task, config.shot_count,
                           scores=None, parsing_errors=0, manifest_id=None,
                           failure=f"{type(exc).__name__}: {exc}", error=exc)

@@ -242,6 +242,21 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_no_handler_catches_everything():
+    # a catch-all would pass a bug off as a data or provider failure
+    root = DATA.parent
+    broad = []
+    for path in sorted(root.glob("src/procex/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(isinstance(name, ast.Name) and name.id in
+                                        ("Exception", "BaseException") for name in caught):
+                broad.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert broad == []
+
+
 def record_one_entry(pet, cache_dir):
     """Record the MD zero-shot entry of doc-1.1; return its path."""
     client = CachingClient(cache_dir, gold_echo(pet), mode="record")
@@ -415,6 +430,16 @@ def test_extract_single_document(pet, capsys, tmp_path):
     assert record["parsing_errors"] == 0
     doc = pet.document("doc-1.1")
     assert len(record["items"]) == len(doc.mentions)
+
+
+def test_extract_single_document_prints_its_predictions_record(pet, capsys, tmp_path):
+    # a run's record without the f1 that needs the whole run
+    cache = tmp_path / "cache"
+    record_md_cache(pet, cache)
+    assert main(["extract", "--dataset", str(DATA / "pet.jsonl"), "--task", "MD",
+                 "--doc", "doc-1.1", "--mode", "replay", "--cache", str(cache)]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == [
+        "document_id", "ignored_lines", "items", "parsing_errors", "task"]
 
 
 def test_extract_dataset_writes_run(pet, capsys, tmp_path):
@@ -632,6 +657,23 @@ def test_ablate_failure_category_follows_the_exception(pet, capsys, tmp_path,
     monkeypatch.undo()
     assert main(argv) == 3  # an empty replay cache is a provider failure
     assert "error: provider: 10 variant(s) failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["grid", "ablate"])
+def test_a_bug_in_a_cell_propagates(command, pet, capsys, tmp_path, monkeypatch):
+    # only data and provider errors become failed rows; anything else is a bug
+    cache = tmp_path / "cache"
+    record_md_cache(pet, cache)
+
+    def broken_parse(*args, **kwargs):
+        raise AttributeError("injected")
+
+    monkeypatch.setattr(pipeline, "parse", broken_parse)
+    argv = [command, "--dataset", str(DATA / "pet.jsonl"), "--tasks", "MD",
+            "--mode", "replay", "--cache", str(cache), "--out", str(tmp_path / "o")]
+    with pytest.raises(AttributeError, match="injected"):
+        main(argv + (["--shots", "0"] if command == "grid" else []))
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -1069,6 +1111,78 @@ def test_input_that_is_not_utf8_is_data_error_naming_where(kind, pet, capsys, tm
     assert capsys.readouterr().err.splitlines() == [
         f"error: data: {prefix}: not UTF-8 text (invalid start byte)"
     ]
+
+
+def _decon_with_second_line(tmp, edit):
+    """decon's header and first document, the document edited as JSON text."""
+    header, document = _first_lines("decon.jsonl", 2).splitlines()
+    path = tmp / "d.jsonl"
+    path.write_text(f"{header}\n{edit(document)}\n", encoding="utf-8")
+    return str(path)
+
+
+def _with_lone_surrogate(document):
+    record = json.loads(document)
+    record["text"] += "\ud800"
+    return json.dumps(record)
+
+
+def _config_with_nul_out(tmp):
+    config = tmp / "conf.json"
+    config.write_text(json.dumps({"mode": "replay", "out": "a\u0000b"}), encoding="utf-8")
+    return str(config)
+
+
+# input that decodes as JSON, yet would fail far from its file if let through
+DECODED_BUT_BAD = {
+    "integer of 5,000 digits": lambda tmp: (
+        ["evaluate", "--task", "MD", "--predictions", _no_predictions(tmp),
+         "--dataset", _decon_with_second_line(
+             tmp, lambda doc: doc.replace('"index": 0', '"index": ' + "7" * 5000, 1))],
+        "line 2: JSON integer too long ("),
+    "lone surrogate escape": lambda tmp: (
+        ["extract", "--task", "MD", "--mode", "replay", "--cache", str(tmp / "c"),
+         "--out", str(tmp / "o"), "--dataset",
+         _decon_with_second_line(tmp, _with_lone_surrogate)],
+        "line 2: JSON string holds a lone surrogate '\\ud800'"),
+    "NUL in a config path": lambda tmp: (
+        ["extract", "--dataset", str(DATA / "decon.jsonl"), "--task", "MD",
+         "--cache", str(tmp / "c"), "--config", _config_with_nul_out(tmp)],
+        f"{tmp / 'conf.json'}: config field 'out' holds a NUL byte"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODED_BUT_BAD))
+def test_decoded_but_bad_input_is_data_error_naming_its_file(case, capsys, tmp_path):
+    argv, prefix = DECODED_BUT_BAD[case](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: data: {prefix}"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_model_id_that_is_not_utf8_is_data_error(capsys, tmp_path, monkeypatch):
+    # argv and the environment bring a byte that is not UTF-8 as a lone surrogate
+    monkeypatch.setenv("PROCEX_MODEL", "m\udcff")
+    argv = ["grid", "--dataset", str(DATA / "pet.jsonl"), "--tasks", "MD",
+            "--shots", "0", "--mode", "replay", "--cache", str(tmp_path / "c")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: data: model id 'm\\udcff' is not UTF-8 text"]
+
+
+def test_the_first_fault_in_file_order_is_reported(capsys, tmp_path):
+    # both faults lie in one decode chunk: line 1 lacks its document_id,
+    # and line 4 holds a byte that is not UTF-8
+    predictions = tmp_path / "p.jsonl"
+    predictions.write_bytes(b'{}\n{"document_id": "doc-1.1", "items": []}\n\n'
+                            b'{"document_id": "\xfe"}\n')
+    code = main(["evaluate", "--dataset", str(DATA / "pet.jsonl"), "--task", "MD",
+                 "--predictions", str(predictions)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: data: {predictions}:1: record has no field 'document_id'"]
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,26 @@ def test_deeply_nested_json_is_a_load_error():
     assert str(err.value).startswith("line 1: ")
 
 
+@pytest.mark.parametrize("text, value", [
+    ('["\\ud83d\\ude00"]', ["\U0001F600"]),  # a surrogate pair is one character
+    ('{"k": "\\\\ud800"}', {"k": "\\ud800"}),  # an escaped backslash, then text
+    ('"\\uD7FF \\uE000"', "\ud7ff \ue000"),  # on either side of the surrogates
+])
+def test_json_that_only_looks_like_a_lone_surrogate_decodes(text, value):
+    assert corpus.decode_json(text, "line 1") == value
+
+
+@pytest.mark.parametrize("text, char", [
+    ('"\\ud800"', "\\ud800"),
+    ('{"\\uDC00": 1}', "\\udc00"),
+    ('["\\ude00\\ud83d"]', "\\ude00"),  # a pair in the wrong order
+])
+def test_json_holding_a_lone_surrogate_is_a_load_error(text, char):
+    with pytest.raises(LoadError) as err:
+        corpus.decode_json(text, "line 1")
+    assert str(err.value) == f"line 1: JSON string holds a lone surrogate '{char}'"
+
+
 # ---------------------------------------------------------------------------
 # PET layout loader
 

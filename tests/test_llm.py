@@ -9,7 +9,7 @@ import pytest
 import requests
 
 from procex import corpus
-from procex.corpus import Dataset
+from procex.corpus import Dataset, ValidationError
 from procex.llm import (
     CachingClient,
     ChatRequest,
@@ -133,7 +133,7 @@ def test_replay_miss_is_error_and_no_network(tmp_path):
 def test_record_mode_requires_provider(tmp_path):
     with pytest.raises(ValueError):
         CachingClient(tmp_path, None, "record")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         CachingClient(tmp_path, SpyProvider(), "sometimes")
 
 
@@ -368,6 +368,17 @@ def test_http_provider_malformed_reply_is_provider_error(body):
         provider(make_request())
     assert not isinstance(err.value, TransientProviderError)
     assert "malformed" in str(err.value)
+
+
+def test_http_provider_text_with_a_lone_surrogate_is_provider_error(tmp_path):
+    # JSON can escape a surrogate that no cache entry can encode
+    session = FakeSession(FakeReply(body=ok_body(text="answer \ud800")))
+    client = CachingClient(tmp_path, HttpProvider("https://x", "k", session=session))
+    with pytest.raises(ProviderError) as err:
+        client.complete(make_request())
+    assert not isinstance(err.value, TransientProviderError)
+    assert "malformed" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_request_validation():
