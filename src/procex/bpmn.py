@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import re
 import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import NamedTuple
 
 from .corpus import Document, Entity, Relation, SchemaDescriptor
 
@@ -36,37 +39,32 @@ FLOW_KINDS = (TASK, XOR, AND)
 UNASSIGNED_LANE_LABEL = "unassigned"
 
 
-@dataclass(frozen=True)
-class Lane:
+class Lane(NamedTuple):
     id: str
     label: str
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: str
     label: str
     lane_id: str | None = None
 
 
-@dataclass(frozen=True)
-class SequenceFlow:
+class SequenceFlow(NamedTuple):
     id: str
     source: str
     target: str
     condition_label: str | None = None
 
 
-@dataclass(frozen=True)
-class MessageFlow:
+class MessageFlow(NamedTuple):
     id: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
-class DataAssociation:
+class DataAssociation(NamedTuple):
     id: str
     data_object: str
     task: str
@@ -111,10 +109,11 @@ GATEWAY_ROLES = ("xor_gateway", "and_gateway")
 
 
 def _mentions_by_role(doc: Document, schema: SchemaDescriptor):
-    """Mentions grouped by role, each group in document order."""
+    """Mentions grouped by role, in document order; each type name resolved once."""
+    role_of = {t: schema.mention_role_of(t) for t in {m.mention_type for m in doc.mentions}}
     groups = defaultdict(list)
     for m in doc.mentions:
-        role = schema.mention_role_of(m.mention_type)
+        role = role_of[m.mention_type]
         groups[role].append(m)
         if role in GATEWAY_ROLES:
             groups[GATEWAY_ROLES].append(m)
@@ -122,10 +121,11 @@ def _mentions_by_role(doc: Document, schema: SchemaDescriptor):
 
 
 def _relations_by_role(doc: Document, schema: SchemaDescriptor):
-    """Relations grouped by role, each group in document order."""
+    """Relations grouped by role, in document order; each type name resolved once."""
+    role_of = {t: schema.relation_role_of(t) for t in {r.relation_type for r in doc.relations}}
     groups = defaultdict(list)
     for r in doc.relations:
-        groups[schema.relation_role_of(r.relation_type)].append(r)
+        groups[role_of[r.relation_type]].append(r)
     return groups
 
 
@@ -297,10 +297,9 @@ def _longest_surface(doc: Document, members) -> str:
     return max((doc.surface(m) for m in members), key=len)
 
 
-def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
-    """Lanes and nodes for a consolidated document."""
+def build_vertices(doc: Document, roles, relation_roles) -> ProcessGraph:
+    """Lanes and nodes for a consolidated document and its role groups."""
     ids = _Ids()
-    roles = _mentions_by_role(doc, schema)
 
     lanes: list = []
     lane_of_actor_mention: dict = {}
@@ -323,7 +322,7 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
         return unassigned.id
 
     performer_of: dict = {}
-    for r in _relations_by_role(doc, schema)["performer"]:
+    for r in relation_roles["performer"]:
         performer_of.setdefault(r.source_mention_id, r.target_mention_id)
 
     first_lane_id = lanes[0].id if lanes else lane_of(None)
@@ -363,7 +362,7 @@ def build_vertices(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
 # ---------------------------------------------------------------------------
 # linking
 
-def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
+def link(graph: ProcessGraph, doc: Document, roles, relation_roles) -> ProcessGraph:
     """Connect the vertices with flows and data associations.
 
     Node kinds decide every edge: a flow joins two FLOW_KINDS nodes, a
@@ -371,7 +370,6 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
     skipped with a warning.
     """
     ids = _Ids()
-    mmap = doc.mention_map()
     node_by_id = {n.id: n for n in graph.nodes}
     warnings: list = []
 
@@ -383,19 +381,18 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
             return source, target
         return None
 
-    condition_ids = {m.id for m in _mentions_by_role(doc, schema)["condition"]}
-    relation_roles = _relations_by_role(doc, schema)
+    conditions = {m.id: m for m in roles["condition"]}
     attachment: dict = {}
     for r in relation_roles["condition_attachment"]:
-        if r.target_mention_id in condition_ids:
+        if r.target_mention_id in conditions:
             attachment.setdefault(r.target_mention_id, r.source_mention_id)
 
     into_condition: dict = {}
     out_of_condition: dict = {}
     edges: list = []
     for r in relation_roles["flow"]:
-        src_is_cond = r.source_mention_id in condition_ids
-        tgt_is_cond = r.target_mention_id in condition_ids
+        src_is_cond = r.source_mention_id in conditions
+        tgt_is_cond = r.target_mention_id in conditions
         if tgt_is_cond and not src_is_cond:
             into_condition.setdefault(r.target_mention_id, r.source_mention_id)
         elif src_is_cond and not tgt_is_cond:
@@ -408,10 +405,10 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
             edges.append((r.id, r.source_mention_id, r.target_mention_id, None))
 
     for cond_id in sorted(
-        out_of_condition, key=lambda c: mmap[c].token_indices[0]
+        out_of_condition, key=lambda c: conditions[c].token_indices[0]
     ):
         source = into_condition.get(cond_id, attachment.get(cond_id))
-        label = doc.surface(mmap[cond_id])
+        label = doc.surface(conditions[cond_id])
         if source is None:
             warnings.append(
                 f"skipped link: condition {cond_id!r} has no gateway to attach to"
@@ -488,10 +485,8 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
 
     return ProcessGraph(
         lanes=graph.lanes,
-        nodes=tuple(
-            n if n.id not in relabel else replace(n, label=relabel[n.id])
-            for n in graph.nodes
-        ),
+        nodes=tuple(n._replace(label=relabel[n.id]) if n.id in relabel else n
+                    for n in graph.nodes),
         sequence_flows=tuple(sequence_flows),
         message_flows=tuple(message_flows),
         data_associations=tuple(associations),
@@ -501,13 +496,18 @@ def link(graph: ProcessGraph, doc: Document, schema: SchemaDescriptor) -> Proces
 
 
 def compile_document(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
-    """Consolidate, build vertices, and link in one step."""
+    """Consolidate, group by role once, build vertices, and link in one step."""
     consolidated = consolidate(doc, schema)
-    return link(build_vertices(consolidated, schema), consolidated, schema)
+    groups = _mentions_by_role(consolidated, schema), _relations_by_role(consolidated, schema)
+    return link(build_vertices(consolidated, *groups), consolidated, *groups)
 
 
 # ---------------------------------------------------------------------------
 # validation
+
+# a character outside XML 1.0's Char production, which no label may hold
+_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\uD7FF\uE000-\uFFFD\U00010000-\U0010FFFF]")
+
 
 def validate_graph(graph: ProcessGraph) -> list:
     problems: list = []
@@ -546,6 +546,17 @@ def validate_graph(graph: ProcessGraph) -> list:
         problems.append(f"expected exactly one start event, found {len(starts)}")
     if not ends:
         problems.append("expected at least one end event")
+    # one search over every label; only a hit searches them one by one
+    labelled = (("lane", graph.lanes, [lane.label for lane in graph.lanes]),
+                ("node", graph.nodes, [n.label for n in graph.nodes]),
+                ("sequence flow", graph.sequence_flows,
+                 [f.condition_label or "" for f in graph.sequence_flows]))
+    if _NOT_XML_CHAR.search("\n".join(chain.from_iterable(labels for *_, labels in labelled))):
+        for what, elements, labels in labelled:
+            for element, label in zip(elements, labels):
+                if bad := _NOT_XML_CHAR.search(label):
+                    problems.append(f"{what} {element.id}: label holds U+{ord(bad[0]):04X}, "
+                                    "which XML 1.0 does not allow")
     return problems
 
 
@@ -642,13 +653,18 @@ _KIND_TAGS = {
 
 
 # The two helpers give xml.sax.saxutils.escape and quoteattr's output byte
-# for byte; saxutils itself imports urllib, http and ssl.
+# for byte (saxutils itself imports urllib, http and ssl); an identifier,
+# as every generated id is, holds no character either one replaces.
 
 def _escape(text: str) -> str:
+    if text.isidentifier():
+        return text
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _quoteattr(text: str) -> str:
+    if text.isidentifier():
+        return f'"{text}"'
     text = (_escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
             .replace("\t", "&#9;"))
     if '"' not in text:

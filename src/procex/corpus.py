@@ -119,8 +119,8 @@ class Document:
         Members and clusters are ordered by first token; entities with
         no mentions are skipped.
         """
-        ids = {m.id for m in mentions}
-        mmap = self.mention_map()
+        mmap = {m.id: m for m in mentions}  # given mentions only: a call costs its input's size
+        ids = mmap.keys()
         groups = [sorted(map(mmap.get, e.mention_ids), key=lambda m: m.token_indices[0])
                   for e in self.entities if e.mention_ids and e.mention_ids <= ids]
         clustered = {m.id for members in groups for m in members}
@@ -737,8 +737,17 @@ def save_canonical(dataset: Dataset, path: str | Path) -> None:
 def load_canonical(path: str | Path, schema: SchemaDescriptor | None = None) -> Dataset:
     """Read a canonical-format dataset file back into a Dataset."""
     docs = []
+    header_line = None
     for line_no, record in json_lines(path):
         if "schema" in record and "id" not in record:
+            if header_line is not None:
+                raise LoadError(f"line {line_no}: second schema header "
+                                f"(the first is line {header_line})")
+            header_line = line_no
+            version = record.get("format_version")
+            if version != FORMAT_VERSION:
+                raise LoadError(f"line {line_no}: schema header has unsupported "
+                                f"format_version {version!r}")
             if schema is None:
                 schema = SchemaDescriptor.from_record(record["schema"], f"line {line_no}: schema")
             continue

@@ -830,6 +830,24 @@ def test_generate_bpmn_skips_a_uses_relation_from_a_gateway(capsys, tmp_path):
     assert parse_bpmn((tmp_path / "x.bpmn").read_text("utf-8")).graph.data_associations == ()
 
 
+def test_generate_bpmn_label_that_xml_cannot_carry_is_data_error(capsys, tmp_path):
+    # U+0001 may stand in JSON text, but XML 1.0 has no way to write it
+    header, document = (DATA / "fixtures" / "doc33.json").read_text("utf-8").splitlines()
+    record = json.loads(document)
+    for token in record["tokens"]:
+        if token["text"] == "officer":
+            token["text"] = "off\u0001icer"
+    source = tmp_path / "doc33.json"
+    source.write_text(f"{header}\n{json.dumps(record)}\n", encoding="utf-8")
+    out = tmp_path / "x.bpmn"
+    code = main(["generate-bpmn", "--in", str(source), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: data: lane lane_8b1c8ce8: label holds U+0001, which XML 1.0 does not allow"
+    ]
+    assert not out.exists()
+
+
 def test_generate_bpmn_without_a_record_for_the_document_is_data_error(capsys, tmp_path):
     predictions = write_predictions(tmp_path, "doc-1.3")
     out = tmp_path / "x.bpmn"
@@ -1297,6 +1315,14 @@ def _pet_file(tmp, **fields):
     return path
 
 
+def _decon_lines(tmp, edit):
+    """A copy of decon's header and first document, the list of lines edited."""
+    path = tmp / "d.jsonl"
+    lines = _first_lines("decon.jsonl", 2).splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return path
+
+
 def _replay_client(tmp, **response):
     """A replay client whose cache holds REQUEST's entry, with response
     fields replacing the defaults."""
@@ -1369,6 +1395,17 @@ INPUT_GUARDS = {
     "cache entry negative token count": (
         lambda schema, tmp: _replay_client(tmp, output_token_count=-1).complete(REQUEST),
         f"LoadError: {{tmp}}/{cache_key(REQUEST)}.json: token counts must be >= 0"),
+    "canonical header of another format version": (
+        lambda schema, tmp: corpus.load_canonical(_decon_lines(tmp, lambda lines: [
+            lines[0].replace('"format_version": 1', '"format_version": 7', 1), lines[1]])),
+        "LoadError: line 1: schema header has unsupported format_version 7"),
+    "canonical header without a format version": (
+        lambda schema, tmp: corpus.load_canonical(_decon_lines(tmp, lambda lines: [
+            lines[0].replace('"format_version": 1, ', '', 1), lines[1]])),
+        "LoadError: line 1: schema header has unsupported format_version None"),
+    "canonical second schema header": (
+        lambda schema, tmp: corpus.load_canonical(_decon_lines(tmp, lambda lines: lines + lines[:1])),
+        "LoadError: line 3: second schema header (the first is line 1)"),
     "predictions unknown item kind": (
         lambda schema, tmp: parser.item_from_record({"kind": "gateway"}),
         "LoadError: item has unknown kind 'gateway'"),
