@@ -40,6 +40,7 @@ from .corpus import (
     load_schema,
     read_utf8,
 )
+from .eval import MatchPolicy, aggregate
 from .llm import CachingClient, HttpProvider, cache_entries, purge_cache
 from .parser import (
     ITEM_KINDS,
@@ -60,7 +61,7 @@ from .pipeline import (
     run_ablation,
     run_cell,
     run_grid,
-    score_dataset,
+    score_document,
 )
 from .prompt import PromptConfig
 
@@ -370,11 +371,16 @@ def cmd_evaluate(args) -> int:
         if doc_id in reports:
             raise ValidationError(f"{where}: second record for document {doc_id!r}")
         reports[doc_id] = ParseReport(items, error_lines=(), ignored_line_count=0)
+    policy = MatchPolicy.from_schema(dataset.schema)
     # documents missing from the file count as predicting nothing
-    total, per_doc = score_dataset(dataset, task, reports)
+    empty = ParseReport(items=(), error_lines=(), ignored_line_count=0)
+    total = aggregate([
+        score_document(task, reports.get(doc.id, empty), doc, policy)[1].counts
+        for doc in dataset.documents
+    ])
     print(
         f"{task}: P={total.precision:.2f} R={total.recall:.2f} "
-        f"F1={total.f1:.2f} (documents: {len(per_doc)})"
+        f"F1={total.f1:.2f} (documents: {len(dataset.documents)})"
     )
     return EXIT_OK
 
@@ -428,11 +434,20 @@ def _doc_from_predictions(doc, schema, paths):
     span_to_id = {m.token_indices: m.id for m in mentions}
 
     entities: list = []
-    clusters, _ = ground_clusters(report, doc)
+    clusters, ungrounded = ground_clusters(report, doc)
+    for surface in ungrounded:
+        sys.stderr.write(f"warning: cluster surface {surface!r} not groundable, dropped\n")
     for members in clusters:
         ids = [span_to_id.get(m.token_indices) for m in members]
-        if len(ids) > 1 and all(i is not None for i in ids):
-            entities.append(Entity(f"pe{len(entities)}", frozenset(ids)))
+        if len(ids) < 2:
+            continue  # a singleton is no coreference
+        if None in ids:
+            sys.stderr.write(
+                f"warning: cluster {[m.matched_surface for m in members]!r} member "
+                "missing from predicted mentions, dropped\n"
+            )
+            continue
+        entities.append(Entity(f"pe{len(entities)}", frozenset(ids)))
 
     relations: list = []
     for grounded in ground_relations(report, doc):

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import __version__
 from .corpus import Dataset, Document, LoadError, ValidationError, check, json_lines
@@ -35,7 +36,7 @@ from .eval import (
     score_md,
     score_re,
 )
-from .llm import CachingClient, ChatRequest, ProviderError, ReplayMissError
+from .llm import CachingClient, ChatRequest, ChatResponse, ProviderError, ReplayMissError
 from .parser import (
     ParsedConstraint,
     ParseReport,
@@ -46,7 +47,7 @@ from .parser import (
     item_to_record,
     parse,
 )
-from .prompt import PromptConfig, PromptError, ablation_variants, assemble
+from .prompt import PromptConfig, PromptError, RenderedPrompt, ablation_variants, assemble
 
 DEFAULT_MODEL_ID = "stub"
 DEFAULT_SHOT_COUNTS = (0, 1, 3)
@@ -140,22 +141,6 @@ def score_document(task: str, report: ParseReport, doc: Document,
     return predictions, scores
 
 
-def score_dataset(dataset: Dataset, task: str, reports: dict):
-    """Score every document of a dataset under the schema's match policy.
-
-    reports maps document ids to parse reports; a document without one
-    counts as predicting nothing. Returns the micro-aggregated scores
-    and the per-document scores by id.
-    """
-    policy = MatchPolicy.from_schema(dataset.schema)
-    empty = ParseReport(items=(), error_lines=(), ignored_line_count=0)
-    per_doc = {
-        doc.id: score_document(task, reports.get(doc.id, empty), doc, policy)[1]
-        for doc in dataset.documents
-    }
-    return aggregate([s.counts for s in per_doc.values()]), per_doc
-
-
 PREDICTIONS_SHAPE = {"document_id": str, "items": [dict]}
 
 
@@ -234,19 +219,14 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _run_over_documents(dataset, config, client, model_id):
-    """Extract every document concurrently; rows in dataset order."""
-    docs = list(dataset.documents)
-
-    def extract(doc):
-        return (doc,) + extract_document(doc, config, client, docs,
-                                         model_id=model_id)
-
-    # the pool size is the one bound on provider calls in flight
-    with concurrent.futures.ThreadPoolExecutor(
-        max_workers=client.max_concurrency
-    ) as pool:
-        return list(pool.map(extract, docs))
+class DocumentRun(NamedTuple):
+    """One document of a run; every output of the run is a projection
+    of its list of these."""
+    doc: Document
+    prompt: RenderedPrompt
+    response: ChatResponse
+    report: ParseReport
+    scores: TaskScores
 
 
 def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
@@ -262,15 +242,22 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
             f"schema of dataset {dataset.schema.dataset_name!r}"
         )
     task = config.task
-    rows = _run_over_documents(dataset, config, client, model_id)
-    fingerprints: dict = {}
-    reports: dict = {}
-    parsing_errors = 0
-    for doc, rendered, response, report in rows:
-        fingerprints[doc.id] = rendered.config_fingerprint
-        reports[doc.id] = report
-        parsing_errors += report.error_count
-    total, per_doc_scores = score_dataset(dataset, task, reports)
+    docs = dataset.documents
+    # the pool size is the one bound on provider calls in flight
+    with concurrent.futures.ThreadPoolExecutor(
+        max_workers=client.max_concurrency
+    ) as pool:
+        extracted = list(pool.map(
+            lambda doc: extract_document(doc, config, client, docs, model_id=model_id), docs
+        ))
+    # scored on this thread once the pool is done: on the pool threads the
+    # scoring contends for the interpreter lock and costs more CPU
+    policy = MatchPolicy.from_schema(dataset.schema)
+    runs = [DocumentRun(doc, prompt, response, report,
+                        score_document(task, report, doc, policy)[1])
+            for doc, (prompt, response, report) in zip(docs, extracted)]
+    total = aggregate([r.scores.counts for r in runs])
+    parsing_errors = sum(r.report.error_count for r in runs)
 
     manifest = RunManifest(
         dataset_name=dataset.schema.dataset_name,
@@ -278,7 +265,7 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
         model_id=model_id,
         shot_count=config.shot_count,
         shot_seed=config.shot_seed,
-        prompt_fingerprints=fingerprints,
+        prompt_fingerprints={r.doc.id: r.prompt.config_fingerprint for r in runs},
         cache_mode=client.mode,
         timestamp=utc_timestamp(client.mode),
     )
@@ -297,18 +284,17 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
         (run_dir / "prompts").mkdir(parents=True, exist_ok=True)
         (run_dir / "responses").mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "manifest.json", manifest.to_record())
-        lines = []
-        for doc, rendered, response, report in rows:
-            (run_dir / "prompts" / f"{doc.id}.txt").write_text(
-                rendered.text, encoding="utf-8"
+        for r in runs:
+            (run_dir / "prompts" / f"{r.doc.id}.txt").write_text(
+                r.prompt.text, encoding="utf-8"
             )
-            (run_dir / "responses" / f"{doc.id}.txt").write_text(
-                response.text, encoding="utf-8"
+            (run_dir / "responses" / f"{r.doc.id}.txt").write_text(
+                r.response.text, encoding="utf-8"
             )
-            lines.append(predictions_record(
-                doc.id, task, report, f1=round(per_doc_scores[doc.id].f1, 6)
-            ) + "\n")
-        (run_dir / "predictions.jsonl").write_text("".join(lines), encoding="utf-8")
+        (run_dir / "predictions.jsonl").write_text("".join(
+            predictions_record(r.doc.id, task, r.report, f1=round(r.scores.f1, 6)) + "\n"
+            for r in runs
+        ), encoding="utf-8")
         _write_json(run_dir / "scores.json", {
             "dataset_name": cell.dataset_name,
             "task": task,
@@ -320,7 +306,7 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
             "predicted": total.counts.predicted,
             "gold": total.counts.gold,
             "parsing_errors": parsing_errors,
-            "document_count": len(rows),
+            "document_count": len(runs),
         })
         (run_dir / "table.txt").write_text(
             render_grid_table([cell]), encoding="utf-8"

@@ -23,7 +23,7 @@ from procex.bpmn import parse_bpmn
 from procex.cli import main
 from procex.corpus import Constraint, Dataset, Document, Mention, Token, save_canonical
 from procex.eval import MatchPolicy
-from procex.llm import CachingClient, ChatRequest, HttpProvider, cache_key
+from procex.llm import CachingClient, ChatRequest, HttpProvider, cache_entries, cache_key
 from procex.pipeline import extract_document, run_cell, run_grid
 from procex.prompt import PromptConfig, PromptError
 
@@ -460,6 +460,22 @@ def test_extract_dataset_writes_run(pet, capsys, tmp_path):
         assert (run_dirs[0] / name).is_file()
 
 
+def test_extract_dataset_failing_on_one_document_writes_nothing(pet, capsys, tmp_path):
+    # every document is extracted and scored before the run's first write
+    cache = tmp_path / "cache"
+    record_md_cache(pet, cache)
+    missing = cache_entries(cache)[0]
+    missing.unlink()
+    out = tmp_path / "o"
+    code = main(["extract", "--dataset", str(DATA / "pet.jsonl"),
+                 "--task", "MD", "--mode", "replay",
+                 "--cache", str(cache), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: provider: cache miss for request {missing.stem}"]
+    assert not out.exists()
+
+
 def test_evaluate_gold_predictions(pet, capsys, tmp_path):
     cache = tmp_path / "cache"
     client = CachingClient(cache, gold_echo(pet), mode="record")
@@ -788,6 +804,41 @@ def test_generate_bpmn_from_predictions_warns_and_merges_clusters(capsys, tmp_pa
         lanes.append([lane.label for lane in parse_bpmn(out.read_text("utf-8")).graph.lanes])
     # the two clerk mentions are one entity only when a cluster says so
     assert lanes == [["The clerk", "the clerk"], ["The clerk"]]
+
+
+def test_generate_bpmn_from_predictions_warns_for_each_dropped_cluster(capsys, tmp_path):
+    source = DATA / "fixtures" / "doc33.json"
+    (doc,) = corpus.load_canonical(source).documents
+    surface = {m.id: " ".join(doc.tokens[i].text for i in m.token_indices)
+               for m in doc.mentions}
+    mentions = [{"kind": "mention", "type": m.mention_type, "surface": surface[m.id]}
+                for m in doc.mentions]
+    officers = [surface[i] for i in ("m1", "m4", "m9", "m13")]
+    clusters = [
+        {"kind": "cluster", "surfaces": officers + ["zzz not in text"]},
+        # every surface is taken by the first cluster
+        {"kind": "cluster", "surfaces": officers},
+        # "the form" grounds inside the predicted mention "the form is valid"
+        {"kind": "cluster", "surfaces": ["the customer", "the form"]},
+        # a cluster left with one member is a singleton
+        {"kind": "cluster", "surfaces": ["a payment", "nowhere at all"]},
+    ]
+    predictions = tmp_path / "pred.jsonl"
+    predictions.write_text("".join(json.dumps(
+        {"document_id": doc.id, "task": task, "items": items}) + "\n"
+        for task, items in (("MD", mentions), ("ER", clusters))), encoding="utf-8")
+    out = tmp_path / "x.bpmn"
+    assert main(["generate-bpmn", "--in", str(source), "--predictions", str(predictions),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: cluster surface 'zzz not in text' not groundable, dropped",
+        *(f"warning: cluster surface {s!r} not groundable, dropped" for s in officers),
+        "warning: cluster surface 'nowhere at all' not groundable, dropped",
+        "warning: cluster ['the customer', 'the form'] member missing from "
+        "predicted mentions, dropped",
+    ]
+    lanes = parse_bpmn(out.read_text("utf-8")).graph.lanes
+    assert len(lanes) == 2
 
 
 def test_repeated_main_calls_share_no_parser_state(capsys, tmp_path):

@@ -6,12 +6,14 @@ grammar, so every score must come out exactly 1.  Anything below
 that signals a bug in prompting, parsing, grounding, or scoring.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from procex import corpus, pipeline
+from procex.cli import main
 from procex.corpus import Dataset
 from procex.llm import CachingClient, ChatResponse, ProviderError
 from procex.parser import GroundedMention
@@ -320,3 +322,38 @@ def test_replay_fixture_manifest_id_is_pinned(pet, tmp_path):
     assert sorted(manifest) == ["cache_mode", "dataset_name", "model_id", "prompt_fingerprints",
                                 "shot_count", "shot_seed", "task", "timestamp",
                                 "toolkit_version"]
+
+
+# sha256 over the evaluate line of each cell of a gold-echo replay grid (the
+# three shipped corpora, each schema task at 0, 1 and 3 shots), then the
+# relative path and bytes of every file the grids write; recorded before a
+# run became one record per document
+RUN_DIGEST = "1ae37e3d78dc8287f17944994a1e6c097a020c04f73493c251c20957c6a2a807"
+
+
+def test_run_bytes_unchanged(capsys, tmp_path):
+    digest = hashlib.sha256()
+    replay = tmp_path / "replay"
+    cells = 0
+    for name, load in (("pet", corpus.load_pet), ("decon", corpus.load_canonical),
+                       ("atdp", corpus.load_canonical)):
+        path = DATA / f"{name}.jsonl"
+        dataset = load(path)
+        cache = tmp_path / "cache" / name
+        run_grid(dataset, client=CachingClient(cache, gold_echo(dataset), mode="record"),
+                 out_root=tmp_path / "record" / name)
+        result = run_grid(dataset, client=CachingClient(cache, mode="replay"),
+                          out_root=replay / name)
+        for cell in result.cells:
+            assert cell.failure is None, cell
+            assert main(["evaluate", "--dataset", str(path), "--task", cell.task,
+                         "--predictions",
+                         str(replay / name / cell.manifest_id / "predictions.jsonl")]) == 0
+            digest.update(capsys.readouterr().out.encode())
+            cells += 1
+    files = sorted((p.relative_to(replay).as_posix(), p) for p in replay.rglob("*")
+                   if p.is_file())
+    for relative, file in files:
+        digest.update(json.dumps(relative).encode() + b"\n" + file.read_bytes())
+    assert (cells, len(files)) == (21, 1317)
+    assert digest.hexdigest() == RUN_DIGEST
