@@ -42,13 +42,7 @@ from .corpus import (
 )
 from .eval import MatchPolicy, aggregate
 from .llm import CachingClient, HttpProvider, cache_entries, purge_cache
-from .parser import (
-    ITEM_KINDS,
-    ParseReport,
-    ground_clusters,
-    ground_relations,
-    ground_report,
-)
+from .parser import ITEM_KINDS, ParseReport, ground_document
 from .pipeline import (
     DATA_ERRORS,
     DEFAULT_MODEL_ID,
@@ -418,26 +412,25 @@ def _doc_from_predictions(doc, schema, paths):
     items = [item for parsed in records for item in parsed]
     report = ParseReport(items=tuple(items), error_lines=(), ignored_line_count=0)
 
-    grounded, ungrounded = ground_report(report, doc)
-    for item in ungrounded:
+    grounding = ground_document(report, doc)
+    for item in grounding.ungrounded_mentions:
         sys.stderr.write(
             f"warning: mention {item.surface!r} not groundable, dropped\n"
         )
     mentions: list = []
-    for hit in grounded:
-        canonical = schema.canonical_mention_type(hit.mention_type)
-        mentions.append(Mention(
-            f"p{len(mentions)}",
-            canonical if canonical else hit.mention_type,
-            hit.token_indices,
-        ))
+    for hit in grounding.mentions:
+        # a dropped mention keeps its claim on its tokens, so no span moves
+        if schema.canonical_mention_type(hit.mention_type) is None:
+            sys.stderr.write(f"warning: mention {hit.matched_surface!r} has type "
+                             f"{hit.mention_type!r}, not in the schema, dropped\n")
+            continue
+        mentions.append(Mention(f"p{len(mentions)}", hit.mention_type, hit.token_indices))
     span_to_id = {m.token_indices: m.id for m in mentions}
 
     entities: list = []
-    clusters, ungrounded = ground_clusters(report, doc)
-    for surface in ungrounded:
+    for surface in grounding.ungrounded_surfaces:
         sys.stderr.write(f"warning: cluster surface {surface!r} not groundable, dropped\n")
-    for members in clusters:
+    for members in grounding.clusters:
         ids = [span_to_id.get(m.token_indices) for m in members]
         if len(ids) < 2:
             continue  # a singleton is no coreference
@@ -450,7 +443,11 @@ def _doc_from_predictions(doc, schema, paths):
         entities.append(Entity(f"pe{len(entities)}", frozenset(ids)))
 
     relations: list = []
-    for grounded in ground_relations(report, doc):
+    for grounded in grounding.relations:
+        if schema.canonical_relation_type(grounded.relation_type) is None:
+            sys.stderr.write(f"warning: relation {grounded.relation_type!r} "
+                             "not in the schema, dropped\n")
+            continue
         src = span_to_id.get(grounded.source_indices)
         tgt = span_to_id.get(grounded.target_indices)
         if src is None or tgt is None:
@@ -459,12 +456,7 @@ def _doc_from_predictions(doc, schema, paths):
                 "missing from predicted mentions, dropped\n"
             )
             continue
-        canonical = schema.canonical_relation_type(grounded.relation_type)
-        relations.append(Relation(
-            f"pr{len(relations)}",
-            canonical if canonical else grounded.relation_type,
-            src, tgt,
-        ))
+        relations.append(Relation(f"pr{len(relations)}", grounded.relation_type, src, tgt))
 
     return dataclasses.replace(
         doc, mentions=tuple(mentions), entities=tuple(entities),

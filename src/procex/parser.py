@@ -4,9 +4,12 @@ The output grammar is pipe-delimited, one record per line. Parsing is
 total: malformed input becomes error accounting, never an exception.
 Grounding maps surface strings back to token spans of the source
 document: the first unused window, left to right, whose normalized text
-matches.  A per-document index holds the document's normalized text
-and finds each distinct normalized surface in it once, by string
-search, without rescanning the token windows for every surface.
+matches.  ground_document grounds every item of a report through one
+per-document index, which holds the document's normalized text and
+finds each distinct normalized surface in it once, by string search.
+Mention items share one used set, cluster members another, and the two
+ends of each relation a fresh one.  ground_report, ground_clusters and
+ground_relations are its per-task projections.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ class WindowIndex:
         return starts, width
 
     def find(self, surface: str, used_tokens: set):
-        """(start, width) of the first window matching surface with no
+        """The token span of the first window matching surface with no
         token in used_tokens, or None.
 
         The window's tokens are added to used_tokens.
@@ -268,80 +271,75 @@ class WindowIndex:
             span = range(start, start + width)
             if used_tokens.isdisjoint(span):
                 used_tokens.update(span)
-                return start, width
+                return tuple(span)
         return None
 
     def ground(self, mention_type: str, surface: str, used_tokens: set):
         """A GroundedMention for the window find claims, or None."""
-        hit = self.find(surface, used_tokens)
-        if hit is None:
+        span = self.find(surface, used_tokens)
+        if span is None:
             return None
-        start, width = hit
-        return GroundedMention(mention_type, tuple(range(start, start + width)),
-                               " ".join(self.words[start:start + width]))
+        return GroundedMention(mention_type, span,
+                               " ".join(self.words[span[0]:span[-1] + 1]))
+
+
+class Grounding(NamedTuple):
+    """Every item of one parse report grounded over one document."""
+    mentions: list  # a GroundedMention per grounded ParsedMention
+    ungrounded_mentions: list  # the ParsedMention items that found no window
+    clusters: list  # each cluster's grounded members, a tuple
+    ungrounded_surfaces: list  # the cluster surfaces that found no window
+    relations: list  # a GroundedRelation per relation; None for an end not found
+
+
+def ground_document(report: ParseReport, doc: Document) -> Grounding:
+    """Ground every mention, cluster and relation item of report in one
+    pass over one WindowIndex; constraint items need no grounding."""
+    index = WindowIndex(doc)
+    mention_used: set = set()
+    cluster_used: set = set()
+    out = Grounding([], [], [], [], [])
+    for item in report.items:
+        if isinstance(item, ParsedMention):
+            hit = index.ground(item.mention_type, item.surface, mention_used)
+            if hit is None:
+                out.ungrounded_mentions.append(item)
+            else:
+                out.mentions.append(hit)
+        elif isinstance(item, ParsedCluster):
+            members: list = []
+            for surface in item.surfaces:
+                hit = index.ground("entity", surface, cluster_used)
+                if hit is None:
+                    out.ungrounded_surfaces.append(surface)
+                else:
+                    members.append(hit)
+            out.clusters.append(tuple(members))
+        elif isinstance(item, ParsedRelation):
+            used: set = set()  # the two ends of one relation never overlap
+            source = index.find(item.source_surface, used)
+            target = index.find(item.target_surface, used)
+            out.relations.append(GroundedRelation(
+                item.relation_type, source, item.source_surface,
+                target, item.target_surface))
+    return out
 
 
 def ground_report(report: ParseReport, doc: Document):
-    """Ground every ParsedMention item with one shared used set."""
-    index = WindowIndex(doc)
-    used: set = set()
-    grounded: list = []
-    ungrounded: list = []
-    for item in report.items:
-        if not isinstance(item, ParsedMention):
-            continue
-        hit = index.ground(item.mention_type, item.surface, used)
-        if hit is None:
-            ungrounded.append(item)
-        else:
-            grounded.append(hit)
-    return grounded, ungrounded
+    """The mention part of ground_document: (grounded, ungrounded)."""
+    grounding = ground_document(report, doc)
+    return grounding.mentions, grounding.ungrounded_mentions
 
 
 def ground_clusters(report: ParseReport, doc: Document):
-    """Ground ER clusters; all clusters share one used set."""
-    index = WindowIndex(doc)
-    used: set = set()
-    clusters: list = []
-    ungrounded: list = []
-    for item in report.items:
-        if not isinstance(item, ParsedCluster):
-            continue
-        members: list = []
-        for surface in item.surfaces:
-            hit = index.ground("entity", surface, used)
-            if hit is None:
-                ungrounded.append(surface)
-            else:
-                members.append(hit)
-        clusters.append(tuple(members))
-    return clusters, ungrounded
-
-
-def _span(hit):
-    return None if hit is None else tuple(range(hit[0], hit[0] + hit[1]))
+    """The cluster part of ground_document: (clusters, ungrounded surfaces)."""
+    grounding = ground_document(report, doc)
+    return grounding.clusters, grounding.ungrounded_surfaces
 
 
 def ground_relations(report: ParseReport, doc: Document):
-    """Ground RE endpoints; each relation gets a fresh used set."""
-    index = WindowIndex(doc)
-    out: list = []
-    for item in report.items:
-        if not isinstance(item, ParsedRelation):
-            continue
-        used: set = set()
-        src = index.find(item.source_surface, used)
-        tgt = index.find(item.target_surface, used)
-        out.append(
-            GroundedRelation(
-                relation_type=item.relation_type,
-                source_indices=_span(src),
-                source_surface=item.source_surface,
-                target_indices=_span(tgt),
-                target_surface=item.target_surface,
-            )
-        )
-    return out
+    """The relation part of ground_document: one GroundedRelation per item."""
+    return ground_document(report, doc).relations
 
 
 class ItemKind(NamedTuple):

@@ -841,6 +841,63 @@ def test_generate_bpmn_from_predictions_warns_for_each_dropped_cluster(capsys, t
     assert len(lanes) == 2
 
 
+def doc33_gold_predictions(tmp_path, mention_types=None, relation_types=None):
+    """doc33 and a predictions file holding its gold mentions and relations,
+    with the types of the ids named in the two maps replaced."""
+    source = DATA / "fixtures" / "doc33.json"
+    (doc,) = corpus.load_canonical(source).documents
+    surface = {m.id: " ".join(doc.tokens[i].text for i in m.token_indices)
+               for m in doc.mentions}
+    items = [{"kind": "mention", "surface": surface[m.id],
+              "type": (mention_types or {}).get(m.id, m.mention_type)}
+             for m in doc.mentions]
+    items += [{"kind": "relation", "source": surface[r.source_mention_id],
+               "target": surface[r.target_mention_id],
+               "type": (relation_types or {}).get(r.id, r.relation_type)}
+              for r in doc.relations]
+    return source, write_predictions(tmp_path, doc.id, items)
+
+
+def test_generate_bpmn_warns_for_each_item_of_a_type_not_in_the_schema(capsys, tmp_path):
+    cross_lane = "warning: condition label 'the form is valid' dropped on cross-lane flow"
+    out = tmp_path / "x.bpmn"
+    written = {}
+    for name, retyped, warnings in (
+        ("gold", {}, [cross_lane]),
+        ("mention", {"mention_types": {"m0": "Foo"}},
+         ["warning: mention 'a claim' has type 'Foo', not in the schema, dropped",
+          cross_lane]),
+        ("relation", {"relation_types": {"r0": "bogus"}},
+         ["warning: relation 'bogus' not in the schema, dropped", cross_lane]),
+    ):
+        source, predictions = doc33_gold_predictions(tmp_path, **retyped)
+        assert main(["generate-bpmn", "--in", str(source), "--predictions",
+                     str(predictions), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == warnings, name
+        written[name] = parse_bpmn(out.read_text("utf-8")).graph
+    # the dropped mention was one data object; dropping a flow keeps every node
+    assert len(written["mention"].nodes) == len(written["gold"].nodes) - 1
+    assert written["relation"].nodes == written["gold"].nodes
+
+
+def test_generate_bpmn_builds_one_window_index_per_document(capsys, tmp_path, monkeypatch):
+    built = []
+
+    class Counting(parser.WindowIndex):
+        def __init__(self, doc):
+            built.append(doc.id)
+            super().__init__(doc)
+
+    monkeypatch.setattr(parser, "WindowIndex", Counting)
+    source, predictions = doc33_gold_predictions(tmp_path)
+    with predictions.open("a", encoding="utf-8") as f:  # a second record, of clusters
+        f.write(json.dumps({"document_id": "doc-3.3", "task": "ER", "items": [
+            {"kind": "cluster", "surfaces": ["a claim", "the claim"]}]}) + "\n")
+    assert main(["generate-bpmn", "--in", str(source), "--predictions", str(predictions),
+                 "--out", str(tmp_path / "x.bpmn")]) == 0
+    assert built == ["doc-3.3"]
+
+
 def test_repeated_main_calls_share_no_parser_state(capsys, tmp_path):
     assert cli.build_parser() is cli.build_parser()
     doc33 = DATA / "fixtures" / "doc33.json"

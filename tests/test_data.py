@@ -1,5 +1,6 @@
 """Checks over the sample corpora shipped under data/."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,14 @@ def test_fixture_doc33_loads_standalone():
     ds = corpus.load_canonical(DATA / "fixtures" / "doc33.json")
     assert [d.id for d in ds.documents] == ["doc-3.3"]
     assert ds.schema.dataset_name == "pet"
+
+
+def test_make_datasets_regenerates_the_shipped_data(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "make_datasets", DATA.parent / "tools" / "make_datasets.py")
+    make_datasets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_datasets)
+    monkeypatch.setattr(make_datasets, "OUT", tmp_path)
+    make_datasets.main()
+    for name in ("pet.jsonl", "decon.jsonl", "atdp.jsonl", "fixtures/doc33.json"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

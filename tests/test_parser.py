@@ -22,6 +22,7 @@ from procex.parser import (
     ITEM_KINDS,
     WindowIndex,
     ground_clusters,
+    ground_document,
     ground_relations,
     ground_report,
     item_from_record,
@@ -373,6 +374,20 @@ def test_window_index_grounds_like_the_scan(case):
         item = ParsedMention("Actor", surface)
         assert ground(item, doc, indexed) == scan_ground(item, doc, scanned)
         assert indexed == scanned
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grounding_cases())
+def test_ground_document_grounds_every_kind_like_the_scans(case):
+    # the generated reports mix all three kinds, as a predictions file for
+    # generate-bpmn does; each field is one scan oracle's answer
+    doc, report, _, _ = case
+    grounding = ground_document(report, doc)
+    assert (grounding.mentions, grounding.ungrounded_mentions) == \
+        scan_ground_report(report, doc)
+    assert (grounding.clusters, grounding.ungrounded_surfaces) == \
+        scan_ground_clusters(report, doc)
+    assert grounding.relations == scan_ground_relations(report, doc)
 
 
 def test_is_wordlike_matches_isalnum_on_every_code_point():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from procex import corpus, pipeline
+from procex import corpus, parser, pipeline
 from procex.cli import main
 from procex.corpus import Dataset
 from procex.llm import CachingClient, ChatResponse, ProviderError
@@ -322,6 +322,21 @@ def test_replay_fixture_manifest_id_is_pinned(pet, tmp_path):
     assert sorted(manifest) == ["cache_mode", "dataset_name", "model_id", "prompt_fingerprints",
                                 "shot_count", "shot_seed", "task", "timestamp",
                                 "toolkit_version"]
+
+
+def test_replay_cell_builds_one_window_index_per_document(pet, tmp_path, monkeypatch):
+    built = []
+
+    class Counting(parser.WindowIndex):
+        def __init__(self, doc):
+            built.append(doc.id)
+            super().__init__(doc)
+
+    monkeypatch.setattr(parser, "WindowIndex", Counting)
+    client = CachingClient(DATA / "fixtures" / "replay_cache", mode="replay")
+    run_cell(pet, PromptConfig(task="MD", schema=pet.schema), client,
+             out_root=tmp_path, model_id="stub-fixture")
+    assert built == [doc.id for doc in pet.documents]
 
 
 # sha256 over the evaluate line of each cell of a gold-echo replay grid (the

@@ -102,14 +102,25 @@ def run_workload(checkouts: dict, workload: str, seeds: list, seconds: float,
         },
         "failed": {side: [f"{r['failed']}/{r['attempted']}" for r in results[side]]
                    for side in SIDES},
+        "failed_share": {side: failed_share(results[side]) for side in SIDES},
         "correct": {side: all(r["correct"] for r in results[side]) for side in SIDES},
     }
+
+
+def failed_share(runs: list) -> float:
+    """Failed operations as a share of those attempted, over all runs."""
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
 
 
 def verdict(figures: dict) -> str:
     worse = [name for name, m in figures["metrics"].items() if m["worse_than_bound"]]
     text = (f"worse than its bound: {', '.join(worse)}" if worse
             else "no end-to-end metric worsened beyond its bound")
+    share = figures["failed_share"]
+    if share["change"] > share["parent"]:
+        text += (f"; the change failed a larger share of operations: "
+                 f"{share['change']:.4g} against {share['parent']:.4g}")
     failed_checks = [side for side in SIDES if not figures["correct"][side]]
     if failed_checks:
         text += f"; a run's check failed on: {', '.join(failed_checks)}"
