@@ -13,16 +13,15 @@ mistakes; a missing performer can put a step into the wrong lane.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import re
-import xml.etree.ElementTree as ET
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import NamedTuple
 
+from . import sha1_hex
 from .corpus import Document, Entity, Relation, SchemaDescriptor
 
 TASK = "task"
@@ -97,7 +96,7 @@ class _Ids:
         basis = "|".join(parts)
         ordinal = self.counters.get((prefix, basis), 0)
         self.counters[(prefix, basis)] = ordinal + 1
-        digest = hashlib.sha1(f"{prefix}|{basis}|{ordinal}".encode("utf-8")).hexdigest()
+        digest = sha1_hex(f"{prefix}|{basis}|{ordinal}")
         return f"{prefix}_{digest[:8]}"
 
 
@@ -781,6 +780,9 @@ def serialize_bpmn(model: LayoutedModel) -> str:
 
 def parse_bpmn(xml_text: str) -> LayoutedModel:
     """Read serialized output back into a layouted model."""
+    # expat is loaded here, on first use: compiling never reads XML
+    import xml.etree.ElementTree as ET
+
     ns = {"bpmn": NS_MODEL, "bpmndi": NS_DI, "dc": NS_DC}
     root = ET.fromstring(xml_text)
 

@@ -98,12 +98,20 @@ def _data_message(exc: Exception) -> str:
     return str(exc)
 
 
+def _distinct(values: list, text: str) -> list:
+    """values, unless one repeats: a repeated task or shot count reruns a cell."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"repeated value {value!r} in {text!r}")
+    return values
+
+
 def _comma_list(text: str) -> list:
-    """argparse type: a comma list with at least one non-blank part."""
+    """argparse type: a comma list of distinct non-blank parts, at least one."""
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise argparse.ArgumentTypeError(f"empty comma list {text!r}")
-    return parts
+    return _distinct(parts, text)
 
 
 def _count(text: str) -> int:
@@ -131,8 +139,8 @@ def _seconds(text: str) -> float:
 
 
 def _counts(text: str) -> tuple:
-    """argparse type: a comma list of non-negative integers."""
-    return tuple(_count(part) for part in _comma_list(text))
+    """argparse type: a comma list of distinct non-negative integers."""
+    return tuple(_distinct([_count(part) for part in _comma_list(text)], text))
 
 
 @functools.cache

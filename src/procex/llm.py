@@ -6,9 +6,10 @@ record mode a cache miss calls the configured provider once and
 persists the response; in replay mode a miss is an error and the
 network is never touched. One JSON file per entry, named
 ``<cache_key>.json``, keeps the cache diffable and usable as a test
-fixture; listing and purging touch no other file. The caller's thread
-pool bounds concurrent provider calls; concurrent requests for one
-digest make one call, and ``min_interval`` spaces calls out.
+fixture; listing and purging touch no other file. In record mode the
+caller's thread pool bounds concurrent provider calls (replay runs on
+the calling thread); concurrent requests for one digest make one call,
+and ``min_interval`` spaces calls out.
 
 The live provider POSTs to ``$PROCEX_ENDPOINT`` with
 ``Authorization: Bearer $PROCEX_API_KEY`` and a 60-second timeout. A
@@ -19,7 +20,6 @@ integers >= 0 and text holding a lone surrogate included, is a
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import sha256_hex
 from .corpus import LoadError, ValidationError, check, decode_json, read_utf8
 
 ENV_API_KEY = "PROCEX_API_KEY"
@@ -83,7 +84,7 @@ class ChatResponse:
 def cache_key(request: ChatRequest) -> str:
     """Hex SHA-256 of the request; names its cache entry."""
     payload = json.dumps(request.to_record(), sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256_hex(payload)
 
 
 def cache_entries(cache_dir) -> list:

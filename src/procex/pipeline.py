@@ -14,18 +14,16 @@ Replay-mode runs are byte-reproducible.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import datetime
 import functools
-import hashlib
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import __version__
+from . import __version__, sha256_hex
 from .corpus import Dataset, Document, LoadError, ValidationError, check, json_lines
 from .eval import (
     MatchPolicy,
@@ -75,14 +73,12 @@ def utc_timestamp(cache_mode: str) -> str:
     if cache_mode == "replay":
         # a wall clock would break byte-identical reruns
         return REPLAY_TIMESTAMP
-    return datetime.datetime.now(datetime.timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def per_document_seed(base_seed: int, doc_id: str) -> int:
-    digest = hashlib.sha256(f"{base_seed}:{doc_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    # the first 8 bytes of the digest, read big-endian
+    return int(sha256_hex(f"{base_seed}:{doc_id}")[:16], 16)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +106,7 @@ class RunManifest:
         record = self.to_record()
         del record["timestamp"]
         del record["cache_mode"]
-        payload = json.dumps(record, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:12]
+        return sha256_hex(json.dumps(record, sort_keys=True))[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +238,23 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
         )
     task = config.task
     docs = dataset.documents
-    # the pool size is the one bound on provider calls in flight
-    with concurrent.futures.ThreadPoolExecutor(
-        max_workers=client.max_concurrency
-    ) as pool:
-        extracted = list(pool.map(
-            lambda doc: extract_document(doc, config, client, docs, model_id=model_id), docs
-        ))
-    # scored on this thread once the pool is done: on the pool threads the
+
+    def extract(doc):
+        return extract_document(doc, config, client, docs, model_id=model_id)
+
+    if client.mode == "replay":
+        # replay calls no provider, so a pool would only contend for the
+        # interpreter lock
+        extracted = list(map(extract, docs))
+    else:
+        # the pool size is the one bound on provider calls in flight
+        import concurrent.futures
+
+        with concurrent.futures.ThreadPoolExecutor(
+            max_workers=client.max_concurrency
+        ) as pool:
+            extracted = list(pool.map(extract, docs))
+    # scored on this thread once extraction is done: on pool threads the
     # scoring contends for the interpreter lock and costs more CPU
     policy = MatchPolicy.from_schema(dataset.schema)
     runs = [DocumentRun(doc, prompt, response, report,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import json
 import random
 import re
@@ -19,6 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
 
+from . import sha256_hex
 from .corpus import Document, SchemaDescriptor, TASKS
 
 
@@ -307,16 +307,14 @@ def assemble(
         offset += size
     chunks.append(f"Input: {target.raw_text}\nOutput:\n")
 
-    fingerprint = hashlib.sha256(
-        json.dumps(
-            {
-                "config": config.to_record(),
-                "target": target.id,
-                "shots": [s.id for s in shots],
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-    ).hexdigest()
+    fingerprint = sha256_hex(json.dumps(
+        {
+            "config": config.to_record(),
+            "target": target.id,
+            "shots": [s.id for s in shots],
+        },
+        sort_keys=True,
+    ))
 
     return RenderedPrompt(
         text="".join(chunks),

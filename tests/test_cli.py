@@ -101,6 +101,7 @@ BAD_LIST_AND_COUNT_FLAGS = {
     "extract-shots-negative": ["extract", "--task", "MD", "--shots", "-2"],
     "grid-shots-empty-list": ["grid", "--shots", ","],
     "ablate-tasks-empty-list": ["ablate", "--tasks", ","],
+    "ablate-tasks-repeated": ["ablate", "--tasks", "MD, MD"],
 }
 
 
@@ -113,6 +114,23 @@ def test_bad_list_or_count_flag_is_usage_error(argv, capsys, tmp_path):
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: usage: argument ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tasks", "MD,MD", "repeated value 'MD' in 'MD,MD'"),
+    ("--shots", "0,00", "repeated value 0 in '0,00'"),
+])
+def test_grid_rejects_a_repeated_task_or_shot_count(flag, value, message, capsys,
+                                                    tmp_path):
+    # every cell replays from the fixture: a repeat would rerun one cell
+    argv = {"--tasks": "MD", "--shots": "0", flag: value}
+    code = main(["grid", "--dataset", str(DATA / "pet.jsonl"), "--mode", "replay",
+                 "--cache", str(DATA / "fixtures" / "replay_cache"),
+                 "--model", "stub-fixture", "--out", str(tmp_path / "o"),
+                 *(part for item in argv.items() for part in item)])
+    assert code == 1
+    assert capsys.readouterr().err.endswith(f"error: usage: argument {flag}: {message}\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -157,6 +175,28 @@ def test_cli_import_loads_no_network_or_bpmn_code():
                             text=True, env={**os.environ, "PYTHONPATH": src},
                             check=True)
     assert result.stdout.strip() == ""
+
+
+def test_offline_process_loads_no_openssl_expat_thread_pool_or_datetime(tmp_path):
+    # a replay grid and a BPMN compile digest with CPython's built-in SHA
+    # modules; only parse_bpmn reads XML and only recording needs a pool
+    probe = ("import sys, procex.cli, procex.bpmn\n"
+             "grid = ['grid', '--dataset', sys.argv[1], '--tasks', 'MD', '--shots', '0',\n"
+             "        '--mode', 'replay', '--cache', sys.argv[2], '--model', 'stub-fixture',\n"
+             "        '--out', sys.argv[3]]\n"
+             "assert procex.cli.main(grid) == 0\n"
+             "assert procex.cli.main(['generate-bpmn', '--in', sys.argv[4],\n"
+             "                        '--out', sys.argv[3] + '/claim.bpmn']) == 0\n"
+             "print(' '.join(sorted(m for m in ('_hashlib', 'pyexpat', 'concurrent.futures',\n"
+             "                                  'logging', 'datetime') if m in sys.modules)),\n"
+             "      file=sys.stderr)")
+    src = str(Path(procex.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(DATA / "pet.jsonl"),
+         str(DATA / "fixtures" / "replay_cache"), str(tmp_path),
+         str(DATA / "fixtures" / "doc33.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stderr.strip() == ""
 
 
 def test_every_public_name_has_a_use_outside_tests():

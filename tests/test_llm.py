@@ -1,14 +1,20 @@
 """LLM client tests: caching, replay, retries, transport."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, strategies as st
 
-from procex import corpus
+import procex
+from procex import corpus, sha1_hex, sha256_hex
 from procex.corpus import Dataset, ValidationError
 from procex.llm import (
     CachingClient,
@@ -73,6 +79,30 @@ def test_every_fixture_entry_is_named_by_its_cache_key():
         assert stored["temperature"] == 0.0
         key = cache_key(ChatRequest(stored["model_id"], stored["prompt_text"]))
         assert path.stem == key, path.name
+
+
+@given(st.text())
+def test_digest_helpers_match_hashlib(text):
+    data = text.encode("utf-8")
+    assert sha1_hex(text) == hashlib.sha1(data).hexdigest()
+    assert sha256_hex(text) == hashlib.sha256(data).hexdigest()
+
+
+def test_hashlib_fallback_keeps_digests():
+    # a build without CPython's built-in SHA modules digests with hashlib
+    entry = min(FIXTURE_CACHE.glob("*.json"))
+    probe = ("import sys\n"
+             "sys.modules.update(dict.fromkeys(('_sha1', '_sha2', '_sha256')))\n"
+             "import procex\n"
+             "assert 'hashlib' in sys.modules\n"
+             "import json, procex.llm as llm\n"
+             "stored = json.loads(open(sys.argv[1], encoding='utf-8').read())['request']\n"
+             "print(llm.cache_key(llm.ChatRequest(stored['model_id'], stored['prompt_text'])),\n"
+             "      procex.sha1_hex('lane|Clerk|0'))")
+    src = str(Path(procex.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe, str(entry)], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.split() == [entry.stem, sha1_hex("lane|Clerk|0")]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ that signals a bug in prompting, parsing, grounding, or scoring.
 
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,22 @@ def test_replay_fixture_manifest_id_is_pinned(pet, tmp_path):
     assert sorted(manifest) == ["cache_mode", "dataset_name", "model_id", "prompt_fingerprints",
                                 "shot_count", "shot_seed", "task", "timestamp",
                                 "toolkit_version"]
+
+
+def test_replay_cell_completes_on_the_calling_thread(pet, tmp_path):
+    # replay calls no provider, so there is nothing for a pool to bound
+    threads = set()
+
+    class Recording(CachingClient):
+        def complete(self, request):
+            threads.add(threading.get_ident())
+            return super().complete(request)
+
+    client = Recording(DATA / "fixtures" / "replay_cache", mode="replay")
+    cell = run_cell(pet, PromptConfig(task="MD", schema=pet.schema), client,
+                    out_root=tmp_path, model_id="stub-fixture")
+    assert cell.scores.f1 > 0
+    assert threads == {threading.get_ident()}
 
 
 def test_replay_cell_builds_one_window_index_per_document(pet, tmp_path, monkeypatch):

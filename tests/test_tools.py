@@ -64,3 +64,54 @@ def test_verdict_names_a_larger_failed_share(bench_pairs, monkeypatch):
     failed["change"] = 1
     figures = bench_pairs.run_workload(checkouts, "long-doc", [1, 2, 3], 1.0, [DOCS_PER_S])
     assert bench_pairs.verdict(figures) == "no end-to-end metric worsened beyond its bound"
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_with_ties_counting_for_neither(bench_pairs):
+    parent = [10.0 + i / 100 for i in range(10)]  # quartiles 10.0225 and 10.0675
+
+    def gain(change):
+        return bench_pairs.compare(CPU_MS, {"parent": parent, "change": change})["gain"]
+
+    better = [p - 1.0 for p in parent]
+    assert gain(better)
+    assert gain(better[:9] + [parent[9]])  # 9 wins and a tie
+    assert not gain(better[:8] + parent[8:])  # 8 wins and 2 ties
+    assert not gain(better[:8] + [p + 1.0 for p in parent[8:]])  # 8 wins and 2 losses
+    assert not bench_pairs.compare(CPU_MS, {"parent": parent[:9],
+                                            "change": better[:9]})["gain"]  # 9 pairs
+
+
+def test_gain_needs_a_median_gap_past_the_parent_iqr_in_the_better_direction(bench_pairs):
+    parent = [100.0, 110.0, 120.0, 130.0, 140.0, 150.0, 160.0, 170.0, 180.0, 190.0]
+    # the parent's quartiles are 122.5 and 167.5: an IQR of 45
+    for gap, holds in ((46.0, True), (44.0, False)):
+        figures = bench_pairs.compare(DOCS_PER_S, {"parent": parent,
+                                                   "change": [p + gap for p in parent]})
+        assert figures["change_wins"] == "10/10"
+        assert figures["parent_iqr"] == 45.0
+        assert figures["gain"] is holds
+    worse = bench_pairs.compare(CPU_MS, {"parent": parent,
+                                         "change": [p + 46.0 for p in parent]})
+    assert not worse["gain"]
+
+
+def test_gain_does_not_hold_when_the_change_fails_a_larger_share(bench_pairs, monkeypatch):
+    failed = {"parent": 1, "change": 1}
+    docs_per_s = {"parent": 50.0, "change": 80.0}
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"metrics": {"docs_per_s": {"value": docs_per_s[checkout]}},
+                "failed": failed[checkout], "attempted": 6, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    checkouts = {side: side for side in bench_pairs.SIDES}
+    seeds = list(range(10))
+    figures = bench_pairs.run_workload(checkouts, "long-doc", seeds, 1.0, [DOCS_PER_S])
+    assert figures["metrics"]["docs_per_s"]["gain"]
+    assert bench_pairs.verdict(figures).endswith("; a gain holds on: docs_per_s")
+    assert bench_pairs.report("long-doc", figures).splitlines()[2].split()[-1] == "yes"
+
+    failed["change"] = 2
+    figures = bench_pairs.run_workload(checkouts, "long-doc", seeds, 1.0, [DOCS_PER_S])
+    assert not figures["metrics"]["docs_per_s"]["gain"]
+    assert "gain holds" not in bench_pairs.verdict(figures)

@@ -13,8 +13,13 @@ default run length come from the change's BENCHMARK.json.
 Per workload and metric it prints each side's median and quartiles
 (statistics.quantiles, n=4, inclusive), how many pairs the change won,
 the change's worsening as a share of the parent's median against the
-metric's bound, and each side's failed/attempted operations. --json
-writes the same figures with every run's value. Standard library only.
+metric's bound, whether the change holds a gain, and each side's
+failed/attempted operations. A gain holds when, over at least ten
+pairs, the change wins at least nine tenths of them (ties count for
+neither), its median is better than the parent's by more than the
+parent's interquartile range, and it fails no larger share of
+operations. --json writes the same figures
+with every run's value. Standard library only.
 """
 
 from __future__ import annotations
@@ -63,24 +68,31 @@ def quartiles(values: list) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def compare(metric: dict, runs: dict) -> dict:
+def compare(metric: dict, runs: dict, *, larger_failed_share: bool = False) -> dict:
     """The figures of one metric over the pairs of one workload."""
     higher = metric["better"] == "higher"
     parent, change = quartiles(runs["parent"]), quartiles(runs["change"])
     shift = (change["median"] - parent["median"]) / parent["median"] if parent["median"] else 0.0
     worsening = -shift if higher else shift
+    pairs = len(runs["parent"])
     wins = sum((c > p) if higher else (c < p)
                for p, c in zip(runs["parent"], runs["change"]))
+    parent_iqr = parent["q3"] - parent["q1"]
+    improvement = change["median"] - parent["median"]
+    if not higher:
+        improvement = -improvement
     return {
         "better": metric["better"],
         "bound": metric["bound"],
         "parent": parent,
         "change": change,
         "median_change": round(shift, 4),
-        "change_wins": f"{wins}/{len(runs['parent'])}",
+        "change_wins": f"{wins}/{pairs}",
         "median_gap": round(abs(change["median"] - parent["median"]), 4),
-        "parent_iqr": round(parent["q3"] - parent["q1"], 4),
+        "parent_iqr": round(parent_iqr, 4),
         "worse_than_bound": worsening > metric["bound"],
+        "gain": (pairs >= 10 and 10 * wins >= 9 * pairs
+                 and improvement > parent_iqr and not larger_failed_share),
         "runs": {side: [round(v, 4) for v in runs[side]] for side in SIDES},
     }
 
@@ -92,17 +104,19 @@ def run_workload(checkouts: dict, workload: str, seeds: list, seconds: float,
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             sys.stderr.write(f"{workload} pair {i} seed {seed}: {side}\n")
             results[side].append(run_once(checkouts[side], workload, seed, seconds))
+    share = {side: failed_share(results[side]) for side in SIDES}
     return {
         "pairs": len(seeds),
         "seeds": seeds,
         "metrics": {
             m["name"]: compare(m, {side: [r["metrics"][m["name"]]["value"]
-                                          for r in results[side]] for side in SIDES})
+                                          for r in results[side]] for side in SIDES},
+                               larger_failed_share=share["change"] > share["parent"])
             for m in metrics
         },
         "failed": {side: [f"{r['failed']}/{r['attempted']}" for r in results[side]]
                    for side in SIDES},
-        "failed_share": {side: failed_share(results[side]) for side in SIDES},
+        "failed_share": share,
         "correct": {side: all(r["correct"] for r in results[side]) for side in SIDES},
     }
 
@@ -117,6 +131,9 @@ def verdict(figures: dict) -> str:
     worse = [name for name, m in figures["metrics"].items() if m["worse_than_bound"]]
     text = (f"worse than its bound: {', '.join(worse)}" if worse
             else "no end-to-end metric worsened beyond its bound")
+    gains = [name for name, m in figures["metrics"].items() if m["gain"]]
+    if gains:
+        text += f"; a gain holds on: {', '.join(gains)}"
     share = figures["failed_share"]
     if share["change"] > share["parent"]:
         text += (f"; the change failed a larger share of operations: "
@@ -130,13 +147,14 @@ def verdict(figures: dict) -> str:
 def report(workload: str, figures: dict) -> str:
     out = [f"{workload}: {figures['pairs']} pairs, seeds {figures['seeds']}"]
     out.append(f"  {'metric':<16}{'parent med [q1, q3]':>28}{'change med [q1, q3]':>28}"
-               f"{'wins':>7}{'worse':>9}{'bound':>7}")
+               f"{'wins':>7}{'worse':>9}{'bound':>7}{'gain':>6}")
     for name, m in figures["metrics"].items():
         sides = [f"{m[s]['median']:.4g} [{m[s]['q1']:.4g}, {m[s]['q3']:.4g}]" for s in SIDES]
         worsening = -m["median_change"] if m["better"] == "higher" else m["median_change"]
+        gain = "yes" if m["gain"] else "no"
         flag = "  WORSE" if m["worse_than_bound"] else ""
         out.append(f"  {name:<16}{sides[0]:>28}{sides[1]:>28}{m['change_wins']:>7}"
-                   f"{worsening:>+9.1%}{m['bound']:>7.0%}{flag}")
+                   f"{worsening:>+9.1%}{m['bound']:>7.0%}{gain:>6}{flag}")
     for side in SIDES:
         out.append(f"  failed/attempted {side}: {', '.join(figures['failed'][side])}")
     out.append(f"  verdict: {verdict(figures)}")
