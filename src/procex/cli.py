@@ -481,6 +481,8 @@ def cmd_generate_bpmn(args) -> int:
         doc = dataset.document(args.doc)
     elif len(dataset.documents) == 1:
         doc = dataset.documents[0]
+    elif not dataset.documents:
+        raise ValidationError(f"{args.infile} holds no documents")
     else:
         raise ValidationError(
             f"{args.infile} holds {len(dataset.documents)} documents; "

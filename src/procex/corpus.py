@@ -448,6 +448,10 @@ def validate(doc: Document, schema: SchemaDescriptor | None = None) -> list[str]
     return problems
 
 
+# a file name holds at most 255 bytes, and a run directory's is "<id>.txt"
+MAX_ID_BYTES = 255 - len(".txt")
+
+
 def validate_dataset(dataset: Dataset) -> list[str]:
     problems = list(dataset.schema.validate())
     seen = set()
@@ -458,6 +462,9 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         # run directories name per-document files after the id
         if any(ch in doc.id for ch in "/\\\0"):
             problems.append(f"document id {doc.id!r} contains '/', '\\' or NUL")
+        if len(doc.id.encode("utf-8", "surrogatepass")) > MAX_ID_BYTES:
+            problems.append(f"document id {doc.id[:20]!r}... is longer than "
+                            f"{MAX_ID_BYTES} bytes in UTF-8")
         problems.extend(f"{doc.id}: {p}" for p in validate(doc, dataset.schema))
     return problems
 

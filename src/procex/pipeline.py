@@ -82,34 +82,6 @@ def per_document_seed(base_seed: int, doc_id: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# manifests
-
-@dataclass(frozen=True)
-class RunManifest:
-    dataset_name: str
-    task: str
-    model_id: str
-    shot_count: int
-    shot_seed: int
-    prompt_fingerprints: dict
-    cache_mode: str
-    timestamp: str
-    toolkit_version: str = __version__
-
-    def to_record(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @property
-    def manifest_id(self) -> str:
-        # provenance-only fields stay out so a replay rerun lands in
-        # the directory its recording created
-        record = self.to_record()
-        del record["timestamp"]
-        del record["cache_mode"]
-        return sha256_hex(json.dumps(record, sort_keys=True))[:12]
-
-
-# ---------------------------------------------------------------------------
 # single-document extraction
 
 def score_document(task: str, report: ParseReport, doc: Document,
@@ -263,16 +235,18 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
     total = aggregate([r.scores.counts for r in runs])
     parsing_errors = sum(r.report.error_count for r in runs)
 
-    manifest = RunManifest(
-        dataset_name=dataset.schema.dataset_name,
-        task=task,
-        model_id=model_id,
-        shot_count=config.shot_count,
-        shot_seed=config.shot_seed,
-        prompt_fingerprints={r.doc.id: r.prompt.config_fingerprint for r in runs},
-        cache_mode=client.mode,
-        timestamp=utc_timestamp(client.mode),
-    )
+    manifest = {
+        "dataset_name": dataset.schema.dataset_name,
+        "task": task,
+        "model_id": model_id,
+        "shot_count": config.shot_count,
+        "shot_seed": config.shot_seed,
+        "prompt_fingerprints": {r.doc.id: r.prompt.config_fingerprint for r in runs},
+        "toolkit_version": __version__,
+    }
+    # provenance-only fields stay out of the id so a replay rerun lands
+    # in the directory its recording created
+    manifest_id = sha256_hex(json.dumps(manifest, sort_keys=True))[:12]
 
     cell = CellResult(
         dataset_name=dataset.schema.dataset_name,
@@ -280,14 +254,17 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
         shot_count=config.shot_count,
         scores=total,
         parsing_errors=parsing_errors,
-        manifest_id=manifest.manifest_id,
+        manifest_id=manifest_id,
     )
 
     if out_root is not None:
-        run_dir = Path(out_root) / manifest.manifest_id
+        run_dir = Path(out_root) / manifest_id
         (run_dir / "prompts").mkdir(parents=True, exist_ok=True)
         (run_dir / "responses").mkdir(parents=True, exist_ok=True)
-        _write_json(run_dir / "manifest.json", manifest.to_record())
+        _write_json(run_dir / "manifest.json", {
+            **manifest, "cache_mode": client.mode,
+            "timestamp": utc_timestamp(client.mode),
+        })
         for r in runs:
             (run_dir / "prompts" / f"{r.doc.id}.txt").write_text(
                 r.prompt.text, encoding="utf-8"

@@ -27,7 +27,6 @@ from procex.corpus import Document, Mention, Token, normalize_phrase
 from procex.eval import (
     ConfusionCounts,
     MatchPolicy,
-    max_matching,
     score_md,
     scores_from_counts,
 )
@@ -43,6 +42,7 @@ from procex.prompt import (
 )
 
 from echo_provider import gold_echo
+from test_eval import max_matching
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = DATA / "fixtures"

@@ -778,6 +778,17 @@ def test_generate_bpmn_needs_doc_for_multi_document_files(capsys):
     assert "--doc" in capsys.readouterr().err
 
 
+def test_generate_bpmn_on_a_file_without_documents_says_so(capsys, tmp_path):
+    header = (DATA / "decon.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(header + "\n", encoding="utf-8")
+    code = main(["generate-bpmn", "--in", str(empty), "--out", str(tmp_path / "x.bpmn")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: data: {empty} holds no documents"]
+    assert not (tmp_path / "x.bpmn").exists()
+
+
 def test_generate_bpmn_from_predictions(capsys, tmp_path):
     schema = corpus.load_schema("pet")
     tokens = []
@@ -1388,6 +1399,24 @@ def test_document_id_naming_a_path_is_data_error_before_any_provider(
     assert len(err) == 1, err
     assert err[0].startswith(f"error: data: document id {doc_id!r} contains"), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
+def test_document_id_too_long_for_a_file_name_is_data_error_before_any_write(
+        pet, capsys, tmp_path):
+    doc = dataclasses.replace(pet.document("doc-1.1"), id="d" * 300)
+    long_doc = Dataset(pet.schema, (doc,))
+    dataset = tmp_path / "long.jsonl"
+    save_canonical(long_doc, dataset)
+    cache = tmp_path / "c"
+    record_md_cache(long_doc, cache)
+    with pytest.raises(corpus.ValidationError, match="longer than 251 bytes"):
+        corpus.load_canonical(dataset)
+    out = tmp_path / "runs"
+    code = main(["extract", "--dataset", str(dataset), "--task", "MD", "--mode", "replay",
+                 "--cache", str(cache), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: data: document id 'dddd")
+    assert not out.exists()
 
 
 BAD_MATCH_POLICIES = {

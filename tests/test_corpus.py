@@ -393,6 +393,20 @@ def sample_dataset():
     return Dataset(schema=schema, documents=(doc,))
 
 
+@pytest.mark.parametrize("doc_id, too_long", [
+    ("d" * 251, False),
+    ("d" * 252, True),
+    ("\u00e9" * 125, False),  # two bytes each in UTF-8
+    ("\u00e9" * 126, True),
+], ids=["251-bytes", "252-bytes", "250-bytes-of-e-acute", "252-bytes-of-e-acute"])
+def test_document_id_longer_than_a_file_name_allows_is_rejected(doc_id, too_long):
+    # a run directory writes prompts/<id>.txt, and a file name holds 255 bytes
+    dataset = sample_dataset()
+    doc = dataclasses.replace(dataset.documents[0], id=doc_id)
+    problems = corpus.validate_dataset(Dataset(dataset.schema, (doc,)))
+    assert any("is longer than 251 bytes" in p for p in problems) == too_long, problems
+
+
 def test_canonical_round_trip_identity(tmp_path):
     ds = sample_dataset()
     path = tmp_path / "ds.jsonl"

@@ -1,6 +1,7 @@
 """Parser and grounding tests."""
 
 import json
+import re
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
@@ -142,6 +143,22 @@ def test_parse_ce_lines(decon_schema):
         "empty field",
         "unknown type",
     ]
+
+
+def readme_grammar_examples() -> list:
+    """(task, example) per line of README's *Output grammar* block."""
+    text = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("### Output grammar", 1)[1].split("```", 2)[1]
+    rows = [re.split(r" {2,}", line) for line in block.strip().splitlines()]
+    return [(task, example) for task, _, example in rows]
+
+
+@pytest.mark.parametrize("task, example", readme_grammar_examples())
+def test_readme_grammar_example_parses_to_one_item(task, example, pet_schema,
+                                                   decon_schema):
+    schema = decon_schema if task == "CE" else pet_schema
+    report = parse(example, task, schema)
+    assert (len(report.items), report.error_count) == (1, 0), report
 
 
 def test_parse_preamble_ignored_when_items_exist(pet_schema):

@@ -19,7 +19,6 @@ from procex.corpus import Dataset
 from procex.llm import CachingClient, ChatResponse, ProviderError
 from procex.parser import GroundedMention
 from procex.pipeline import (
-    RunManifest,
     extract_document,
     per_document_seed,
     render_grid_table,
@@ -212,15 +211,28 @@ def test_grid_replay_reproduces_bytes(pet, tmp_path):
             (r2_dir / "manifest.json").read_bytes()
 
 
-def test_manifest_id_ignores_timestamp():
-    a = RunManifest("pet", "MD", "m", 0, 0, {"d": "f"}, "replay",
-                    "1970-01-01T00:00:00Z")
-    b = RunManifest("pet", "MD", "m", 0, 0, {"d": "f"}, "replay",
-                    "2026-08-22T12:00:00Z")
-    c = RunManifest("pet", "MD", "m", 1, 0, {"d": "f"}, "replay",
-                    "1970-01-01T00:00:00Z")
-    assert a.manifest_id == b.manifest_id
-    assert a.manifest_id != c.manifest_id
+def test_manifest_id_ignores_timestamp(pet, tmp_path):
+    cache = tmp_path / "cache"
+    config = md_config(pet)
+    recorded = run_cell(pet, config, CachingClient(cache, gold_echo(pet), mode="record"),
+                        out_root=tmp_path / "rec")
+    replayed = run_cell(pet, config, CachingClient(cache, mode="replay"),
+                        out_root=tmp_path / "rep")
+    assert recorded.manifest_id == replayed.manifest_id
+
+    def manifest(root):
+        return json.loads((root / recorded.manifest_id / "manifest.json").read_text("utf-8"))
+
+    rec, rep = manifest(tmp_path / "rec"), manifest(tmp_path / "rep")
+    assert (rec["cache_mode"], rep["cache_mode"]) == ("record", "replay")
+    assert rep["timestamp"] == pipeline.REPLAY_TIMESTAMP
+    for m in (rec, rep):
+        del m["cache_mode"], m["timestamp"]
+    assert rec == rep
+
+    other = run_cell(pet, md_config(pet, shot_count=1),
+                     CachingClient(cache, gold_echo(pet), mode="record"))
+    assert other.manifest_id != recorded.manifest_id
 
 
 def test_render_grid_table_marks_missing_reference():

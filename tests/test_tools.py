@@ -115,3 +115,57 @@ def test_gain_does_not_hold_when_the_change_fails_a_larger_share(bench_pairs, mo
     figures = bench_pairs.run_workload(checkouts, "long-doc", seeds, 1.0, [DOCS_PER_S])
     assert not figures["metrics"]["docs_per_s"]["gain"]
     assert "gain holds" not in bench_pairs.verdict(figures)
+
+
+def test_unresolved_when_either_sides_iqr_exceeds_the_bound_of_the_parents_median(
+        bench_pairs):
+    steady = [10.0] * 10
+
+    def spread(step):
+        # quartiles 10 -/+ 2.25 * step: an IQR of 2.5, a quarter of 10, at step 5/9
+        return [10.0 + step * (i - 4.5) for i in range(10)]
+
+    def unresolved(parent, change):
+        return bench_pairs.compare(CPU_MS, {"parent": parent,
+                                            "change": change})["unresolved"]
+
+    assert not unresolved(steady, steady)
+    assert not unresolved(steady, spread(0.5))
+    assert unresolved(steady, spread(0.6))
+    assert unresolved(spread(0.6), steady)
+    # a metric whose better direction is higher reads the same spread
+    assert bench_pairs.compare(DOCS_PER_S, {"parent": spread(0.6),
+                                            "change": steady})["unresolved"]
+
+
+def test_unresolved_does_not_apply_when_every_change_run_reads_better(bench_pairs):
+    parent = [10.0 + 5.0 * i for i in range(10)]  # an IQR of 22.5 on a median of 32.5
+    for metric, change in ((CPU_MS, [p - 46.0 for p in parent]),
+                           (DOCS_PER_S, [p + 46.0 for p in parent])):
+        figures = bench_pairs.compare(metric, {"parent": parent, "change": change})
+        assert not figures["unresolved"]
+    # one change run no better than the best parent run leaves it unresolved
+    change = [p - 46.0 for p in parent[:9]] + [10.0]
+    assert bench_pairs.compare(CPU_MS, {"parent": parent, "change": change})["unresolved"]
+
+
+def test_report_and_verdict_name_an_unresolved_metric(bench_pairs, monkeypatch):
+    values = {"parent": iter([5.0, 10.0, 15.0] * 2), "change": iter([10.0] * 6)}
+
+    def run_once(checkout, workload, seed, seconds):
+        value = next(values[checkout])
+        return {"metrics": {"docs_per_s": {"value": value}, "cpu_ms_per_doc": {"value": 10.0}},
+                "failed": 0, "attempted": 6, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    checkouts = {side: side for side in bench_pairs.SIDES}
+    figures = bench_pairs.run_workload(checkouts, "long-doc", [1, 2, 3, 4, 5, 6], 1.0,
+                                       [DOCS_PER_S, CPU_MS])
+    assert figures["metrics"]["docs_per_s"]["unresolved"]
+    assert not figures["metrics"]["cpu_ms_per_doc"]["unresolved"]
+    assert bench_pairs.verdict(figures) == (
+        "no end-to-end metric worsened beyond its bound; "
+        "unresolved (spread wider than its bound): docs_per_s")
+    lines = bench_pairs.report("long-doc", figures).splitlines()
+    assert lines[1].split()[-2:] == ["resolved", "gain"]
+    assert [line.split()[-2] for line in lines[2:4]] == ["no", "yes"]

@@ -18,8 +18,12 @@ failed/attempted operations. A gain holds when, over at least ten
 pairs, the change wins at least nine tenths of them (ties count for
 neither), its median is better than the parent's by more than the
 parent's interquartile range, and it fails no larger share of
-operations. --json writes the same figures
-with every run's value. Standard library only.
+operations. A metric is unresolved when either side's interquartile
+range, as a share of the parent's median, exceeds the metric's bound,
+unless every change run reads better than every parent run: its
+spread is then too wide for a median shift within the bound to show.
+--json writes the same figures with every run's value. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -81,6 +85,10 @@ def compare(metric: dict, runs: dict, *, larger_failed_share: bool = False) -> d
     improvement = change["median"] - parent["median"]
     if not higher:
         improvement = -improvement
+    spread = max(parent_iqr, change["q3"] - change["q1"])
+    best_parent = max(runs["parent"]) if higher else min(runs["parent"])
+    separated = all((c > best_parent) if higher else (c < best_parent)
+                    for c in runs["change"])
     return {
         "better": metric["better"],
         "bound": metric["bound"],
@@ -91,6 +99,8 @@ def compare(metric: dict, runs: dict, *, larger_failed_share: bool = False) -> d
         "median_gap": round(abs(change["median"] - parent["median"]), 4),
         "parent_iqr": round(parent_iqr, 4),
         "worse_than_bound": worsening > metric["bound"],
+        "unresolved": (spread > metric["bound"] * abs(parent["median"])
+                       and not separated),
         "gain": (pairs >= 10 and 10 * wins >= 9 * pairs
                  and improvement > parent_iqr and not larger_failed_share),
         "runs": {side: [round(v, 4) for v in runs[side]] for side in SIDES},
@@ -131,6 +141,9 @@ def verdict(figures: dict) -> str:
     worse = [name for name, m in figures["metrics"].items() if m["worse_than_bound"]]
     text = (f"worse than its bound: {', '.join(worse)}" if worse
             else "no end-to-end metric worsened beyond its bound")
+    unresolved = [name for name, m in figures["metrics"].items() if m["unresolved"]]
+    if unresolved:
+        text += f"; unresolved (spread wider than its bound): {', '.join(unresolved)}"
     gains = [name for name, m in figures["metrics"].items() if m["gain"]]
     if gains:
         text += f"; a gain holds on: {', '.join(gains)}"
@@ -147,14 +160,15 @@ def verdict(figures: dict) -> str:
 def report(workload: str, figures: dict) -> str:
     out = [f"{workload}: {figures['pairs']} pairs, seeds {figures['seeds']}"]
     out.append(f"  {'metric':<16}{'parent med [q1, q3]':>28}{'change med [q1, q3]':>28}"
-               f"{'wins':>7}{'worse':>9}{'bound':>7}{'gain':>6}")
+               f"{'wins':>7}{'worse':>9}{'bound':>7}{'resolved':>10}{'gain':>6}")
     for name, m in figures["metrics"].items():
         sides = [f"{m[s]['median']:.4g} [{m[s]['q1']:.4g}, {m[s]['q3']:.4g}]" for s in SIDES]
         worsening = -m["median_change"] if m["better"] == "higher" else m["median_change"]
         gain = "yes" if m["gain"] else "no"
+        resolved = "no" if m["unresolved"] else "yes"
         flag = "  WORSE" if m["worse_than_bound"] else ""
         out.append(f"  {name:<16}{sides[0]:>28}{sides[1]:>28}{m['change_wins']:>7}"
-                   f"{worsening:>+9.1%}{m['bound']:>7.0%}{gain:>6}{flag}")
+                   f"{worsening:>+9.1%}{m['bound']:>7.0%}{resolved:>10}{gain:>6}{flag}")
     for side in SIDES:
         out.append(f"  failed/attempted {side}: {', '.join(figures['failed'][side])}")
     out.append(f"  verdict: {verdict(figures)}")
