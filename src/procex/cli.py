@@ -47,7 +47,7 @@ from .pipeline import (
     DATA_ERRORS,
     DEFAULT_MODEL_ID,
     PROVIDER_ERRORS,
-    extract_document,
+    extract_documents,
     predictions_record,
     read_predictions,
     render_ablation_table,
@@ -339,8 +339,8 @@ def cmd_extract(args) -> int:
     client = _make_client(args)
     if args.doc is not None:
         doc = dataset.document(args.doc)
-        _, _, report = extract_document(
-            doc, config, client, shot_pool=dataset.documents, model_id=model_id,
+        ((_, _, report),) = extract_documents(
+            [doc], config, client, shot_pool=dataset.documents, model_id=model_id,
         )
         print(predictions_record(doc.id, task, report))
         return EXIT_OK

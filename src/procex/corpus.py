@@ -16,13 +16,15 @@ import re
 import string
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from importlib import resources
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 FORMAT_VERSION = 1
+
+# the schemas, template and baselines shipped inside the package
+DATA_DIR = Path(__file__).parent / "data"
 
 TASKS = ("MD", "ER", "RE", "CE")
 
@@ -290,9 +292,8 @@ def load_schema(source: str | Path) -> SchemaDescriptor:
     if path.suffix == ".json" and path.exists():
         text = read_utf8(path, where)
     else:
-        ref = resources.files("procex").joinpath("data", "schemas", f"{source}.json")
         try:
-            text = ref.read_text(encoding="utf-8")
+            text = (DATA_DIR / "schemas" / f"{source}.json").read_text(encoding="utf-8")
         except FileNotFoundError:
             raise LoadError(f"no bundled schema or file named {source!r}")
     schema = SchemaDescriptor.from_record(decode_json(text, where), f"{where}: schema")

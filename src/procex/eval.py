@@ -139,12 +139,12 @@ def score_md(pred: list, gold: list, policy: MatchPolicy | None = None,
     if policy.span_mode == "text_match" and doc is None:
         raise ValueError("text_match scoring needs the source document")
 
-    type_key = _type_keys([getattr(p, "mention_type", "") for p in pred]
+    type_key = _type_keys([p.mention_type for p in pred]
                           + [g.mention_type for g in gold], policy)
 
     def pred_key(p):
         grounded = isinstance(p, GroundedMention)
-        return (type_key[getattr(p, "mention_type", "")],
+        return (type_key[p.mention_type],
                 _pred_span_key(p.token_indices if grounded else None,
                                p.matched_surface if grounded else p.surface,
                                policy))
@@ -160,7 +160,7 @@ def score_md(pred: list, gold: list, policy: MatchPolicy | None = None,
 # ER
 
 def score_er(pred_clusters: list, gold: list, doc: Document) -> TaskScores:
-    """Score entity clusters by exact span-set equality.
+    """Score clusters of GroundedMention by exact span-set equality.
 
     gold is the document's declared entity list; mentions outside any
     declared entity are counted as singleton entities.
@@ -173,11 +173,9 @@ def score_er(pred_clusters: list, gold: list, doc: Document) -> TaskScores:
     declared.extend(
         frozenset([m.token_indices]) for m in doc.mentions if m.id not in clustered
     )
-    pred_sets = [
-        c if isinstance(c, frozenset) else frozenset(m.token_indices for m in c)
-        for c in pred_clusters
-    ]
-    return _score_by_key(pred_sets, declared)
+    return _score_by_key(
+        [frozenset(m.token_indices for m in c) for c in pred_clusters], declared
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ record mode a cache miss calls the configured provider once and
 persists the response; in replay mode a miss is an error and the
 network is never touched. One JSON file per entry, named
 ``<cache_key>.json``, keeps the cache diffable and usable as a test
-fixture; listing and purging touch no other file. In record mode the
-caller's thread pool bounds concurrent provider calls (replay runs on
-the calling thread); concurrent requests for one digest make one call,
-and ``min_interval`` spaces calls out.
+fixture; listing and purging touch no other file. ``complete_all``
+answers cache hits on the calling thread and sends only record-mode
+misses to a pool of ``max_concurrency`` threads, the one bound on
+provider calls in flight; concurrent requests for one digest make one
+call, and ``min_interval`` spaces calls out.
 
 The live provider POSTs to ``$PROCEX_ENDPOINT`` with
 ``Authorization: Bearer $PROCEX_API_KEY`` and a 60-second timeout. A
@@ -275,3 +276,21 @@ class CachingClient:
             response = self._call_provider(request)
             self._store(path, request, response)
             return response
+
+    def complete_all(self, requests) -> list:
+        """The response to each request, in request order; the first
+        failure in that order raises."""
+        requests = list(requests)
+        # a hit or a replay makes no provider call: on a pool thread it
+        # would only contend for the interpreter lock
+        misses = [self.mode == "record" and not self._path(cache_key(r)).exists()
+                  for r in requests]
+        if not any(misses):
+            return [self.complete(r) for r in requests]
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(self.max_concurrency) as pool:
+            futures = [pool.submit(self.complete, r) if miss else None
+                       for r, miss in zip(requests, misses)]
+            return [self.complete(r) if f is None else f.result()
+                    for r, f in zip(requests, futures)]

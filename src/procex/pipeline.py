@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import __version__, sha256_hex
-from .corpus import Dataset, Document, LoadError, ValidationError, check, json_lines
+from .corpus import DATA_DIR, Dataset, Document, LoadError, ValidationError, check, json_lines
 from .eval import (
     MatchPolicy,
     TaskScores,
@@ -56,8 +56,6 @@ REPLAY_TIMESTAMP = "1970-01-01T00:00:00Z"
 DATA_ERRORS = (LoadError, ValidationError, PromptError, OSError)
 PROVIDER_ERRORS = (ProviderError, ReplayMissError)
 
-_BASELINES_PATH = Path(__file__).resolve().parent / "data" / "baselines.json"
-
 
 @functools.cache
 def reference_scores() -> MappingProxyType:
@@ -65,7 +63,7 @@ def reference_scores() -> MappingProxyType:
 
     Read once per process; every caller shares the same read-only mapping.
     """
-    raw = json.loads(_BASELINES_PATH.read_text(encoding="utf-8"))
+    raw = json.loads((DATA_DIR / "baselines.json").read_text(encoding="utf-8"))
     return MappingProxyType(raw["reference_scores"])
 
 
@@ -146,15 +144,18 @@ def _document_config(config: PromptConfig, doc_id: str) -> PromptConfig:
     return config.replace(shot_seed=per_document_seed(config.shot_seed, doc_id))
 
 
-def extract_document(doc: Document, config: PromptConfig, client: CachingClient,
-                     shot_pool=(), *, model_id: str = DEFAULT_MODEL_ID):
-    """Prompt, complete and parse one document.
+def extract_documents(docs, config: PromptConfig, client: CachingClient,
+                      shot_pool=(), *, model_id: str = DEFAULT_MODEL_ID) -> list:
+    """Prompt, complete and parse each document; the client decides which
+    thread answers each request.
 
-    Returns the rendered prompt, the response and the parse report.
+    Returns one (rendered prompt, response, parse report) per document.
     """
-    rendered = assemble(_document_config(config, doc.id), doc, shot_pool)
-    response = client.complete(ChatRequest(model_id, rendered.text))
-    return rendered, response, parse(response.text, config.task, config.schema)
+    prompts = [assemble(_document_config(config, doc.id), doc, shot_pool)
+               for doc in docs]
+    responses = client.complete_all(ChatRequest(model_id, p.text) for p in prompts)
+    return [(p, r, parse(r.text, config.task, config.schema))
+            for p, r in zip(prompts, responses)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +212,7 @@ def run_cell(dataset: Dataset, config: PromptConfig, client: CachingClient,
     task = config.task
     docs = dataset.documents
 
-    def extract(doc):
-        return extract_document(doc, config, client, docs, model_id=model_id)
-
-    if client.mode == "replay":
-        # replay calls no provider, so a pool would only contend for the
-        # interpreter lock
-        extracted = list(map(extract, docs))
-    else:
-        # the pool size is the one bound on provider calls in flight
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=client.max_concurrency
-        ) as pool:
-            extracted = list(pool.map(extract, docs))
-    # scored on this thread once extraction is done: on pool threads the
-    # scoring contends for the interpreter lock and costs more CPU
+    extracted = extract_documents(docs, config, client, docs, model_id=model_id)
     policy = MatchPolicy.from_schema(dataset.schema)
     runs = [DocumentRun(doc, prompt, response, report,
                         score_document(task, report, doc, policy)[1])

@@ -15,11 +15,10 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from types import MappingProxyType
 
 from . import sha256_hex
-from .corpus import Document, SchemaDescriptor, TASKS
+from .corpus import DATA_DIR, Document, SchemaDescriptor, TASKS
 
 
 class PromptError(ValueError):
@@ -110,11 +109,7 @@ def load_template() -> MappingProxyType:
 
     Read once per process; every caller shares the same mapping.
     """
-    raw = (
-        resources.files("procex")
-        .joinpath("data", "templates", "default.txt")
-        .read_text(encoding="utf-8")
-    )
+    raw = (DATA_DIR / "templates" / "default.txt").read_text(encoding="utf-8")
     by_name = {k.value: k for k in PromptComponentKind}
     sections: dict = {}
     current = None
@@ -223,8 +218,9 @@ def _render_examples(shots: list, task: str) -> str:
 def render_gold(doc: Document, task: str) -> list:
     """Serialize gold annotations as output-grammar lines.
 
-    Ordered so that grounding the lines over the same document gives
-    back exactly the gold spans.
+    Grounding the lines over the same document gives back exactly the
+    gold spans only under the condition that
+    ``tools/make_datasets.py::check_groundable`` asserts (see README).
     """
     if task == "MD":
         ordered = sorted(doc.mentions, key=lambda m: m.token_indices[0])

@@ -24,7 +24,7 @@ from procex.cli import main
 from procex.corpus import Constraint, Dataset, Document, Mention, Token, save_canonical
 from procex.eval import MatchPolicy
 from procex.llm import CachingClient, ChatRequest, HttpProvider, cache_entries, cache_key
-from procex.pipeline import extract_document, run_cell, run_grid
+from procex.pipeline import extract_documents, run_cell, run_grid
 from procex.prompt import PromptConfig, PromptError
 
 from echo_provider import gold_echo
@@ -46,9 +46,8 @@ def clean_env(monkeypatch):
 def record_md_cache(pet, cache_dir, model_id="stub"):
     client = CachingClient(cache_dir, gold_echo(pet), mode="record")
     config = PromptConfig(task="MD", schema=pet.schema)
-    for doc in pet.documents:
-        extract_document(doc, config, client, shot_pool=pet.documents,
-                         model_id=model_id)
+    extract_documents(pet.documents, config, client, shot_pool=pet.documents,
+                      model_id=model_id)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,8 @@ def record_one_entry(pet, cache_dir):
     """Record the MD zero-shot entry of doc-1.1; return its path."""
     client = CachingClient(cache_dir, gold_echo(pet), mode="record")
     config = PromptConfig(task="MD", schema=pet.schema)
-    extract_document(pet.document("doc-1.1"), config, client,
-                     shot_pool=pet.documents)
+    extract_documents([pet.document("doc-1.1")], config, client,
+                      shot_pool=pet.documents)
     (path,) = cache_dir.glob("*.json")
     return path
 

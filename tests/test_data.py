@@ -1,4 +1,5 @@
-"""Checks over the sample corpora shipped under data/."""
+"""Checks over the sample corpora shipped under data/ and the tool that
+generates them."""
 
 import importlib.util
 from pathlib import Path
@@ -6,8 +7,20 @@ from pathlib import Path
 import pytest
 
 from procex import corpus
+from procex.eval import MatchPolicy
+from procex.parser import parse
+from procex.pipeline import score_document
+from procex.prompt import render_gold
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def load_make_datasets():
+    spec = importlib.util.spec_from_file_location(
+        "make_datasets", DATA.parent / "tools" / "make_datasets.py")
+    make_datasets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_datasets)
+    return make_datasets
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +97,47 @@ def test_fixture_doc33_loads_standalone():
 
 
 def test_make_datasets_regenerates_the_shipped_data(tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "make_datasets", DATA.parent / "tools" / "make_datasets.py")
-    make_datasets = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_datasets)
+    make_datasets = load_make_datasets()
     monkeypatch.setattr(make_datasets, "OUT", tmp_path)
     make_datasets.main()
     for name in ("pet.jsonl", "decon.jsonl", "atdp.jsonl", "fixtures/doc33.json"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+CEILING_WORDS = "the clerk checks the form and the clerk files the form".split()
+
+# valid documents outside check_groundable's condition: (task, mentions,
+# entities, gold items that echoing the gold lines recovers, gold items)
+CEILING_CASES = {
+    "two types on one span": (
+        "MD", [("Actor", (1,)), ("Activity Data", (1,))], (), 1, 2),
+    "nested spans of different types": (
+        "MD", [("Activity Data", (3, 4)), ("Further Specification", (4,))], (), 1, 2),
+    "discontiguous span": ("MD", [("Activity", (2, 4))], (), 0, 1),
+    "a mention on the second occurrence only": ("MD", [("Actor", (6, 7))], (), 0, 1),
+    "nested spans, each surface a mention wherever it occurs": (
+        "MD", [("Activity Data", (3, 4)), ("Further Specification", (4,)),
+               ("Activity Data", (9, 10)), ("Further Specification", (10,))], (), 2, 4),
+    "an entity listing a surface after a later occurrence": (
+        "ER", [("Actor", (1,)), ("Activity Data", (4,)), ("Actor", (7,)),
+               ("Activity Data", (10,))], [("m0", "m3")], 1, 3),
+}
+
+
+@pytest.mark.parametrize("case", CEILING_CASES)
+def test_gold_echo_ceiling_outside_the_groundable_condition(pet, case):
+    task, mentions, entities, correct, gold = CEILING_CASES[case]
+    doc = corpus.Document(
+        id="ceiling", raw_text=" ".join(CEILING_WORDS),
+        tokens=tuple(corpus.Token(w, i, 0) for i, w in enumerate(CEILING_WORDS)),
+        mentions=tuple(corpus.Mention(f"m{i}", t, span)
+                       for i, (t, span) in enumerate(mentions)),
+        entities=tuple(corpus.Entity(f"e{i}", frozenset(ids))
+                       for i, ids in enumerate(entities)),
+    )
+    assert corpus.validate(doc, pet.schema) == []
+    with pytest.raises(AssertionError):
+        load_make_datasets().check_groundable(doc)
+    report = parse("\n".join(render_gold(doc, task)), task, pet.schema)
+    _, scores = score_document(task, report, doc, MatchPolicy.from_schema(pet.schema))
+    assert (scores.counts.correct, scores.counts.gold) == (correct, gold)

@@ -212,20 +212,21 @@ def er_doc():
     )
 
 
+def er_clusters(doc, *clusters):
+    """Grounded clusters of doc's mentions, given by mention index."""
+    return [tuple(grounded_from(doc, doc.mentions[i]) for i in c) for c in clusters]
+
+
 def test_er_identity():
     doc = er_doc()
-    pred = [
-        frozenset({(0, 1), (4,)}),
-        frozenset({(2,)}),
-        frozenset({(5,)}),
-    ]
+    pred = er_clusters(doc, (0, 2), (1,), (3,))
     s = score_er(pred, list(doc.entities), doc)
     assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
 
 def test_er_merged_clusters_do_not_match():
     doc = er_doc()
-    pred = [frozenset({(0, 1), (4,), (2,)}), frozenset({(5,)})]
+    pred = er_clusters(doc, (0, 2, 1), (3,))
     s = score_er(pred, list(doc.entities), doc)
     assert s.counts == ConfusionCounts(1, 2, 3)
 

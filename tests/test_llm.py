@@ -222,7 +222,7 @@ def test_min_interval_paces_provider_calls_not_cache_hits(tmp_path):
 # concurrency ceiling
 
 def test_concurrency_ceiling(tmp_path):
-    # the document pool of run_cell is the one bound on provider calls
+    # the pool of CachingClient.complete_all is the one bound on provider calls
     import time as _time
 
     active = 0
@@ -258,6 +258,36 @@ def test_concurrent_same_request_calls_provider_once(tmp_path):
         ))
     assert len(spy.calls) == 1
     assert sum(0 if r.retrieved_from_cache else 1 for r in results) == 1
+
+
+def test_complete_all_repeated_misses_call_the_provider_once_each(tmp_path):
+    spy = SpyProvider()
+    client = CachingClient(tmp_path, spy, "record", max_concurrency=8)
+    requests = [make_request(f"prompt {i % 3}") for i in range(24)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        responses = client.complete_all(requests)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(r.prompt_text for r in spy.calls) == ["prompt 0", "prompt 1", "prompt 2"]
+    assert sum(not r.retrieved_from_cache for r in responses) == 3
+
+
+def test_complete_all_raises_the_earlier_of_a_failing_miss_and_a_corrupt_hit(tmp_path):
+    def provider(request):
+        if request.prompt_text == "fails":
+            raise ProviderError("refused")
+        return ChatResponse("ok", 0, 0, "spy")
+
+    client = CachingClient(tmp_path, provider, "record")
+    corrupt, fails = make_request("corrupt"), make_request("fails")
+    client.complete(corrupt)
+    (tmp_path / f"{cache_key(corrupt)}.json").write_text("{", encoding="utf-8")
+    with pytest.raises(corpus.LoadError):
+        client.complete_all([corrupt, fails])
+    with pytest.raises(ProviderError, match="refused"):
+        client.complete_all([fails, corrupt])
 
 
 # ---------------------------------------------------------------------------

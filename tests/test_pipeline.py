@@ -19,7 +19,7 @@ from procex.corpus import Dataset
 from procex.llm import CachingClient, ChatResponse, ProviderError
 from procex.parser import GroundedMention
 from procex.pipeline import (
-    extract_document,
+    extract_documents,
     per_document_seed,
     render_grid_table,
     run_ablation,
@@ -52,14 +52,12 @@ def md_config(dataset, **kw):
 
 
 # ---------------------------------------------------------------------------
-# extract_document
+# extract_documents
 
 def test_extract_gold_echo_scores_one(pet, tmp_path):
     doc = pet.documents[0]
     client = echo_client(pet, tmp_path)
-    _, _, report = extract_document(
-        doc, md_config(pet), client
-    )
+    ((_, _, report),) = extract_documents([doc], md_config(pet), client)
     assert report.error_count == 0
     predictions, scores = pipeline.score_document(
         "MD", report, doc, pipeline.MatchPolicy.from_schema(pet.schema)
@@ -73,19 +71,17 @@ def test_extract_empty_response(pet, tmp_path):
         tmp_path / "c", lambda req: ChatResponse("", 0, 0, "empty"),
         mode="record",
     )
-    _, _, report = extract_document(
-        pet.documents[0], md_config(pet), client
-    )
+    ((_, _, report),) = extract_documents(pet.documents[:1], md_config(pet), client)
     assert report.items == ()
     assert report.error_count == 0
 
 
 def test_extract_never_includes_target_as_shot(pet, tmp_path):
     client = echo_client(pet, tmp_path)
-    for doc in pet.documents[:6]:
-        rendered, _, _ = extract_document(
-            doc, md_config(pet, shot_count=3), client, shot_pool=pet.documents
-        )
+    docs = pet.documents[:6]
+    extracted = extract_documents(docs, md_config(pet, shot_count=3), client,
+                                  shot_pool=pet.documents)
+    for doc, (rendered, _, _) in zip(docs, extracted):
         assert doc.id not in rendered.shot_ids
         assert len(rendered.shot_ids) == 3
 
@@ -351,6 +347,37 @@ def test_replay_cell_completes_on_the_calling_thread(pet, tmp_path):
                     out_root=tmp_path, model_id="stub-fixture")
     assert cell.scores.f1 > 0
     assert threads == {threading.get_ident()}
+
+
+def test_record_cell_sends_only_cache_misses_to_the_pool(pet, tmp_path):
+    # hits are answered on the calling thread; the pool carries provider calls
+    dataset = Dataset(pet.schema, pet.documents[:8])
+    config = md_config(pet)
+    run_cell(Dataset(pet.schema, dataset.documents[::2]), config,
+             echo_client(pet, tmp_path))
+    echo = gold_echo(pet)
+    provider_threads = []
+    answered = []
+
+    def provider(request):
+        provider_threads.append(threading.get_ident())
+        return echo(request)
+
+    class Recording(CachingClient):
+        def complete(self, request):
+            response = super().complete(request)
+            answered.append((response.retrieved_from_cache, threading.get_ident()))
+            return response
+
+    client = Recording(tmp_path / "cache", provider, "record")
+    cell = run_cell(dataset, config, client)
+    assert cell.scores.f1 == 1.0
+    caller = threading.get_ident()
+    hits = [thread for cached, thread in answered if cached]
+    misses = [thread for cached, thread in answered if not cached]
+    assert len(hits) == 4 and set(hits) == {caller}
+    assert len(misses) == 4 and caller not in misses
+    assert len(provider_threads) == 4 and caller not in provider_threads
 
 
 def test_replay_cell_builds_one_window_index_per_document(pet, tmp_path, monkeypatch):

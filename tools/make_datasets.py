@@ -120,10 +120,21 @@ def surface_windows(words: list[str], surface: str) -> list[tuple[int, ...]]:
 
 
 def check_groundable(doc: Document) -> None:
+    """Assert that grounding doc's gold lines gives back its gold spans.
+
+    That holds when no two mentions share a token, each surface's token
+    windows are its mentions' spans in the order the ER lines list them
+    (which, with disjoint mentions, is also text order), and each
+    relation's ends ground first-match to its mentions.
+    """
     words = [t.text for t in doc.tokens]
+    taken = [i for m in doc.mentions for i in m.token_indices]
+    assert len(taken) == len(set(taken)), f"{doc.id}: mentions share a token"
     by_surface: dict[str, list[tuple[int, ...]]] = {}
-    for m in doc.mentions:
-        by_surface.setdefault(normalize_phrase(doc.surface(m)), []).append(m.token_indices)
+    for members in doc.clusters(doc.mentions):
+        for m in members:
+            by_surface.setdefault(normalize_phrase(doc.surface(m)), []).append(
+                m.token_indices)
     for surface, spans in by_surface.items():
         windows = surface_windows(words, surface)
         assert windows == spans, (
