@@ -107,25 +107,21 @@ class _Ids:
 GATEWAY_ROLES = ("xor_gateway", "and_gateway")
 
 
-def _mentions_by_role(doc: Document, schema: SchemaDescriptor):
-    """Mentions grouped by role, in document order; each type name resolved once."""
+def _role_groups(doc: Document, schema: SchemaDescriptor):
+    """Mentions and relations grouped by role, each in document order; each
+    type name resolved once."""
     role_of = {t: schema.mention_role_of(t) for t in {m.mention_type for m in doc.mentions}}
-    groups = defaultdict(list)
+    mentions = defaultdict(list)
     for m in doc.mentions:
         role = role_of[m.mention_type]
-        groups[role].append(m)
+        mentions[role].append(m)
         if role in GATEWAY_ROLES:
-            groups[GATEWAY_ROLES].append(m)
-    return groups
-
-
-def _relations_by_role(doc: Document, schema: SchemaDescriptor):
-    """Relations grouped by role, in document order; each type name resolved once."""
+            mentions[GATEWAY_ROLES].append(m)
     role_of = {t: schema.relation_role_of(t) for t in {r.relation_type for r in doc.relations}}
-    groups = defaultdict(list)
+    relations = defaultdict(list)
     for r in doc.relations:
-        groups[role_of[r.relation_type]].append(r)
-    return groups
+        relations[role_of[r.relation_type]].append(r)
+    return mentions, relations
 
 
 def _relation_type_for(schema: SchemaDescriptor, role: str) -> str | None:
@@ -228,8 +224,7 @@ def _gateway_groups(doc: Document, roles, same_gateway):
 
 def consolidate(doc: Document, schema: SchemaDescriptor) -> Document:
     """Attach conditions, merge gateways, complete performers."""
-    roles = _mentions_by_role(doc, schema)
-    relation_roles = _relations_by_role(doc, schema)
+    roles, relation_roles = _role_groups(doc, schema)
     gateways = roles[GATEWAY_ROLES]
     relations = list(doc.relations)
     entities = list(doc.entities)
@@ -497,7 +492,7 @@ def link(graph: ProcessGraph, doc: Document, roles, relation_roles) -> ProcessGr
 def compile_document(doc: Document, schema: SchemaDescriptor) -> ProcessGraph:
     """Consolidate, group by role once, build vertices, and link in one step."""
     consolidated = consolidate(doc, schema)
-    groups = _mentions_by_role(consolidated, schema), _relations_by_role(consolidated, schema)
+    groups = _role_groups(consolidated, schema)
     return link(build_vertices(consolidated, *groups), consolidated, *groups)
 
 

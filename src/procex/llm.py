@@ -21,6 +21,7 @@ integers >= 0 and text holding a lone surrogate included, is a
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -63,6 +64,11 @@ class ChatRequest:
         """The fields its cache key hashes and its cache entry stores."""
         return {"model_id": self.model_id, "temperature": TEMPERATURE,
                 "prompt_text": self.prompt_text}
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """Its cache key, hashed once per request."""
+        return cache_key(self)
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,7 @@ class CachingClient:
         ) from last_error
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        digest = cache_key(request)
+        digest = request.digest
         path = self._path(digest)
         with self._lock_for(digest):
             if path.exists():
@@ -283,7 +289,7 @@ class CachingClient:
         requests = list(requests)
         # a hit or a replay makes no provider call: on a pool thread it
         # would only contend for the interpreter lock
-        misses = [self.mode == "record" and not self._path(cache_key(r)).exists()
+        misses = [self.mode == "record" and not self._path(r.digest).exists()
                   for r in requests]
         if not any(misses):
             return [self.complete(r) for r in requests]

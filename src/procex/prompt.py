@@ -3,8 +3,10 @@
 A prompt is a fixed-order sequence of toggleable components in three
 blocks (context, task description, restrictions), followed by the
 target text under an ``Input:`` delimiter. Component wording lives in
-a plain-text template file with one named section per component;
-schema-derived content is substituted into ``{placeholders}``.
+``data/templates/default.txt``: an exact ``[Name]`` line opens each
+component's section, in prompt order, and ``{placeholders}`` are filled
+from the schema and the config. A component whose text renders empty
+is left out, which is how FewShot drops out at zero shots.
 """
 
 from __future__ import annotations
@@ -105,34 +107,15 @@ class RenderedPrompt:
 
 @functools.cache
 def load_template() -> MappingProxyType:
-    """The bundled sectioned template as a read-only {kind: text}.
+    """The bundled template, split at its ``[Name]`` lines, as a read-only
+    {kind: text}; an unknown name raises ValueError.
 
     Read once per process; every caller shares the same mapping.
     """
     raw = (DATA_DIR / "templates" / "default.txt").read_text(encoding="utf-8")
-    by_name = {k.value: k for k in PromptComponentKind}
-    sections: dict = {}
-    current = None
-    buf: list[str] = []
-    for line in raw.splitlines():
-        m = re.fullmatch(r"\[([A-Za-z]+)\]", line.strip())
-        if m:
-            if current is not None:
-                sections[current] = "\n".join(buf).strip()
-            name = m.group(1)
-            if name not in by_name:
-                raise PromptError(f"unknown template section [{name}]")
-            current = by_name[name]
-            buf = []
-        elif current is not None:
-            buf.append(line)
-    if current is not None:
-        sections[current] = "\n".join(buf).strip()
-    missing = ALL_COMPONENTS - set(sections)
-    if missing:
-        names = ", ".join(sorted(k.value for k in missing))
-        raise PromptError(f"template is missing sections: {names}")
-    return MappingProxyType(sections)
+    parts = re.split(r"^\[([A-Za-z]+)\]$", raw, flags=re.M)
+    return MappingProxyType({PromptComponentKind(name): body.strip()
+                             for name, body in zip(parts[1::2], parts[2::2])})
 
 
 def first_sentence(text: str) -> str:
@@ -290,8 +273,6 @@ def assemble(
     offset = 0
     for kind in COMPONENT_ORDER:
         if kind not in config.enabled:
-            continue
-        if kind is K.FEW_SHOT and not shots:
             continue
         body = template[kind].format(**values).strip()
         if not body:

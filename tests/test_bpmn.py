@@ -33,10 +33,9 @@ from procex.bpmn import (
     ProcessGraph,
     SequenceFlow,
     _escape,
-    _mentions_by_role,
     _nearest_left_index,
     _quoteattr,
-    _relations_by_role,
+    _role_groups,
     build_vertices,
     compile_document,
     consolidate,
@@ -85,7 +84,7 @@ def make_doc(doc_id, sentences, mentions, entities=(), relations=()):
 
 def nearest_left_actor(doc, schema, token_index):
     """Closest actor mention fully left of token_index, as compile sees it."""
-    return _nearest_left_index(_mentions_by_role(doc, schema)["actor"])(token_index)
+    return _nearest_left_index(_role_groups(doc, schema)[0]["actor"])(token_index)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +258,7 @@ def test_consolidate_never_merges_an_xor_with_an_and_gateway(pet_schema):
     )
     out = consolidate(doc, pet_schema)
     assert out.entities == ()
-    vertices = build_vertices(out, _mentions_by_role(out, pet_schema),
-                              _relations_by_role(out, pet_schema))
+    vertices = build_vertices(out, *_role_groups(out, pet_schema))
     kinds = sorted(n.kind for n in vertices.nodes if n.kind in (XOR, AND))
     assert kinds == sorted([XOR, AND])
 

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procex import corpus
 from procex.eval import MatchPolicy
@@ -141,3 +142,73 @@ def test_gold_echo_ceiling_outside_the_groundable_condition(pet, case):
     report = parse("\n".join(render_gold(doc, task)), task, pet.schema)
     _, scores = score_document(task, report, doc, MatchPolicy.from_schema(pet.schema))
     assert (scores.counts.correct, scores.counts.gold) == (correct, gold)
+
+
+def sentence_document(pet, picks):
+    """A document of the picked (story, sentence) pairs of pet, in pick order.
+
+    It keeps the mentions that lie inside the picked sentences, under ids
+    keyed by (story, mention id); the relations whose two ends are kept,
+    across sentences of one story too; and each entity's kept members,
+    dropping an entity left with none.
+    """
+    tokens, mentions, kept = [], [], {}
+    for sentence_index, (story, sentence) in enumerate(picks):
+        doc = pet.documents[story]
+        words = [t for t in doc.tokens if t.sentence_index == sentence]
+        where = {t.index: len(tokens) + k for k, t in enumerate(words)}
+        tokens += [corpus.Token(t.text, where[t.index], sentence_index) for t in words]
+        for m in doc.mentions:
+            if all(i in where for i in m.token_indices):
+                kept[story, m.id] = f"{doc.id}:{m.id}"
+                mentions.append(corpus.Mention(kept[story, m.id], m.mention_type,
+                                               tuple(where[i] for i in m.token_indices)))
+    relations, entities = [], []
+    for story in dict.fromkeys(story for story, _ in picks):
+        doc = pet.documents[story]
+        relations += [corpus.Relation(f"{doc.id}:{r.id}", r.relation_type,
+                                      kept[story, r.source_mention_id],
+                                      kept[story, r.target_mention_id])
+                      for r in doc.relations
+                      if (story, r.source_mention_id) in kept
+                      and (story, r.target_mention_id) in kept]
+        for e in doc.entities:
+            members = frozenset(kept[story, mid] for mid in e.mention_ids
+                                if (story, mid) in kept)
+            if members:
+                entities.append(corpus.Entity(f"{doc.id}:{e.id}", members))
+    return corpus.Document(
+        id="sentences", raw_text=" ".join(t.text for t in tokens), tokens=tuple(tokens),
+        mentions=tuple(mentions), entities=tuple(entities), relations=tuple(relations))
+
+
+@pytest.fixture(scope="module")
+def groundable():
+    check_groundable = load_make_datasets().check_groundable
+
+    def groundable(doc):
+        try:
+            check_groundable(doc)
+        except AssertionError:
+            return False
+        return True
+
+    return groundable
+
+
+# at most 3 sentences: about 70% of 3-sentence draws pass the filter, 30% of
+# 5-sentence draws and none of 10-sentence draws
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gold_echo_is_exact_on_generated_documents(pet, groundable, data):
+    sentences = sorted({(story, t.sentence_index)
+                        for story, doc in enumerate(pet.documents) for t in doc.tokens})
+    doc = data.draw(
+        st.lists(st.sampled_from(sentences), min_size=1, max_size=3, unique=True)
+        .map(lambda picks: sentence_document(pet, picks))
+        .filter(lambda doc: corpus.validate(doc, pet.schema) == [] and groundable(doc)))
+    policy = MatchPolicy.from_schema(pet.schema)
+    for task in ("MD", "ER", "RE"):
+        report = parse("\n".join(render_gold(doc, task)), task, pet.schema)
+        _, scores = score_document(task, report, doc, policy)
+        assert scores.f1 == 1.0, (task, [t.text for t in doc.tokens])

@@ -14,7 +14,7 @@ import requests
 from hypothesis import given, strategies as st
 
 import procex
-from procex import corpus, sha1_hex, sha256_hex
+from procex import corpus, llm, sha1_hex, sha256_hex
 from procex.corpus import Dataset, ValidationError
 from procex.llm import (
     CachingClient,
@@ -272,6 +272,26 @@ def test_complete_all_repeated_misses_call_the_provider_once_each(tmp_path):
         sys.setswitchinterval(interval)
     assert sorted(r.prompt_text for r in spy.calls) == ["prompt 0", "prompt 1", "prompt 2"]
     assert sum(not r.retrieved_from_cache for r in responses) == 3
+
+
+def test_complete_all_hashes_each_request_once(tmp_path, monkeypatch):
+    hashed = []
+
+    def counting_cache_key(request):
+        hashed.append(request.prompt_text)
+        return cache_key(request)
+
+    monkeypatch.setattr(llm, "cache_key", counting_cache_key)
+    recorder = CachingClient(tmp_path, SpyProvider(), "record")
+    recorder.complete(make_request("hit"))
+    hashed.clear()
+    # one record-mode hit and two misses, the misses on the pool
+    recorder.complete_all([make_request(p) for p in ("hit", "miss 1", "miss 2")])
+    assert sorted(hashed) == ["hit", "miss 1", "miss 2"]
+    hashed.clear()
+    replayer = CachingClient(tmp_path, mode="replay")
+    replayer.complete_all([make_request(p) for p in ("hit", "miss 1", "miss 2")])
+    assert sorted(hashed) == ["hit", "miss 1", "miss 2"]
 
 
 def test_complete_all_raises_the_earlier_of_a_failing_miss_and_a_corrupt_hit(tmp_path):
